@@ -37,7 +37,7 @@ net::Payload encode(const MeshMsg& msg, MeshStamp mode) {
       break;
   }
   ot::encode(msg.ops, sink);
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 MeshMsg decode_mesh_msg(const net::Payload& bytes, MeshStamp mode) {

@@ -1,5 +1,7 @@
 #include "engine/message.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 #include "util/varint.hpp"
 #include "wire/engine.hpp"
@@ -94,16 +96,32 @@ net::Payload encode(const ClientMsg& msg, StampMode mode) {
   encode_stamp(msg.stamp, mode, sink);
   // REDUCE wire form: Delete[n, p] ships as one op, not n primitives.
   ot::encode(ot::coalesce(msg.ops), sink);
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 net::Payload encode(const CenterMsg& msg, StampMode mode) {
+  return CenterMsgEncoder(msg.id, msg.ops).stamped(msg.stamp, mode);
+}
+
+CenterMsgEncoder::CenterMsgEncoder(const OpId& id, const ot::OpList& ops) {
   util::ByteSink sink;
   wire::Writer(sink).tag(wire::kCenterMsg);
-  encode_id(msg.id, sink);
-  encode_stamp(msg.stamp, mode, sink);
-  ot::encode(ot::coalesce(msg.ops), sink);
-  return sink.bytes();
+  encode_id(id, sink);
+  head_size_ = sink.size();
+  ot::encode(ot::coalesce(ops), sink);
+  head_and_body_ = std::move(sink).take();
+}
+
+net::Payload CenterMsgEncoder::stamped(const Stamp& stamp,
+                                       StampMode mode) const {
+  const std::size_t size = head_and_body_.size() + stamp_wire_size(stamp, mode);
+  util::ByteSink sink(size);
+  sink.put_raw(head_and_body_.data(), head_size_);
+  encode_stamp(stamp, mode, sink);
+  sink.put_raw(head_and_body_.data() + head_size_,
+               head_and_body_.size() - head_size_);
+  CCVC_DCHECK(sink.size() == size);
+  return std::move(sink).take();
 }
 
 ClientMsg decode_client_msg(const net::Payload& bytes, StampMode mode) {
@@ -146,7 +164,7 @@ net::Payload encode_leave(SiteId site) {
   wire::Writer w(sink);
   w.tag(wire::kLeaveMsg);
   w.uv(wire::f::kLeaveSite, site);
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 bool is_leave_msg(const net::Payload& bytes) {
@@ -167,7 +185,11 @@ SiteId decode_leave(const net::Payload& bytes) {
 
 net::Payload encode_batch(const std::vector<net::Payload>& msgs) {
   CCVC_CHECK_MSG(!msgs.empty(), "an egress batch carries at least one message");
-  util::ByteSink sink;
+  std::size_t size = 1 + util::uvarint_size(msgs.size());
+  for (const net::Payload& m : msgs) {
+    size += util::uvarint_size(m.size()) + m.size();
+  }
+  util::ByteSink sink(size);
   wire::Writer w(sink);
   w.tag(wire::kEgressBatch);
   w.count(wire::f::kBatchMsgs, msgs.size());
@@ -175,7 +197,7 @@ net::Payload encode_batch(const std::vector<net::Payload>& msgs) {
     CCVC_CHECK_MSG(!m.empty(), "batched messages are never empty");
     w.blob(wire::f::kBatchPayload, m.data(), m.size());
   }
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 bool is_batch_msg(const net::Payload& bytes) {

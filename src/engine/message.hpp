@@ -3,8 +3,11 @@
 // Two message types flow through the star:
 //   ClientMsg — site i -> notifier: an original operation stamped with
 //               the client's 2-element state vector (§3.3).
-//   CenterMsg — notifier -> site i: a transformed operation stamped with
-//               the per-destination compressed vector of eq. (1)-(2).
+//   CenterMsg — notifier -> site i: the notifier's executed form O' of
+//               an operation, stamped with the per-destination
+//               compressed vector of eq. (1)-(2).  O' is the same for
+//               every destination, so a broadcast encodes it once
+//               (CenterMsgEncoder) and only the stamp differs.
 //
 // StampMode selects what rides on the wire: the paper's 2-integer
 // compressed vector, or the full (N+1)-element vector clock of the
@@ -13,6 +16,7 @@
 // byte counts directly off the channel statistics.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -46,12 +50,28 @@ struct ClientMsg {
 
 struct CenterMsg {
   OpId id;          // id of the original op this O' was derived from
-  ot::OpList ops;   // transformed form for this destination
-  Stamp stamp;
+  ot::OpList ops;   // the notifier's executed form O', same for every dest
+  Stamp stamp;      // eq. (1)-(2): the only per-destination part
 };
 
 net::Payload encode(const ClientMsg& msg, StampMode mode);
 net::Payload encode(const CenterMsg& msg, StampMode mode);
+
+/// One CenterMsg broadcast, encoded once: the head (tag + OpId) and the
+/// coalesced op body are the same bytes for every destination, so a
+/// destination's message is those bytes with its stamp spliced between
+/// them, written into one exact-size buffer.
+/// stamped(s, mode) == encode(CenterMsg{id, ops, s}, mode), byte for byte.
+class CenterMsgEncoder {
+ public:
+  CenterMsgEncoder(const OpId& id, const ot::OpList& ops);
+
+  net::Payload stamped(const Stamp& stamp, StampMode mode) const;
+
+ private:
+  net::Payload head_and_body_;
+  std::size_t head_size_ = 0;
+};
 
 ClientMsg decode_client_msg(const net::Payload& bytes, StampMode mode);
 CenterMsg decode_center_msg(const net::Payload& bytes, StampMode mode);

@@ -1,5 +1,6 @@
 #include "engine/notifier_site.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "ot/transform.hpp"
@@ -34,7 +35,11 @@ NotifierSite::State NotifierSite::state() const {
   s.hb = hb_;
   s.outgoing.reserve(outgoing_.size());
   for (const auto& q : outgoing_) {
-    s.outgoing.emplace_back(q.begin(), q.end());
+    auto& out = s.outgoing.emplace_back();
+    out.reserve(q.size());
+    for (const QueuedOp& e : q) {
+      out.push_back(BridgeEntry{e.id, e.index, e.ops()});
+    }
   }
   s.enqueued = enqueued_;
   s.acked = acked_;
@@ -61,7 +66,10 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
   CCVC_CHECK(state.outgoing.size() == num_sites_ + 1);
   outgoing_.reserve(state.outgoing.size());
   for (const auto& q : state.outgoing) {
-    outgoing_.emplace_back(q.begin(), q.end());
+    auto& in = outgoing_.emplace_back();
+    for (const BridgeEntry& e : q) {
+      in.push_back(QueuedOp{e.id, e.index, nullptr, e.ops});
+    }
   }
 }
 
@@ -218,13 +226,16 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
 
     // Transform Oa against the concurrent operations, symmetrically
     // updating their bridge forms (they must end in the post-Oa context
-    // for the next message from this client).
+    // for the next message from this client).  The rewritten form
+    // belongs to this queue alone: a shared entry detaches from the
+    // broadcast's copy, which the other queues keep.
     CCVC_METRIC_COUNT("engine.notifier.transforms", bridge.size());
     CCVC_METRIC_HIST("engine.notifier.transform_path_len", bridge.size());
     for (auto& b : bridge) {
-      auto [inc_next, b_next] = ot::transform(incoming, b.ops);
+      auto [inc_next, b_next] = ot::transform(incoming, b.ops());
       incoming = std::move(inc_next);
-      b.ops = std::move(b_next);
+      b.own = std::move(b_next);
+      b.shared.reset();
     }
     doc_.apply(incoming, doc::ApplyMode::kStrict);
   } else {
@@ -246,34 +257,38 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   if (observer_) observer_->on_center_execute(msg.id, hb_.back().executed);
 
   // Broadcast O' to every other (active) client, stamped per
-  // destination with eq. (1)-(2).
+  // destination with eq. (1)-(2) — the only per-destination part, so
+  // the op is encoded once and its bridge copy is shared.
+  const CenterMsgEncoder center_msg(msg.id, incoming);
+  std::shared_ptr<const ot::OpList> bridge_op;
+  if (cfg_.transform) {
+    bridge_op = std::make_shared<const ot::OpList>(std::move(incoming));
+  }
+  Stamp stamp;
+  stamp.full = vc_;  // empty in compressed mode
+  std::uint64_t sends = 0;
   for (SiteId dest = 1; dest <= num_sites_; ++dest) {
     if (dest == from || !active_[dest]) continue;
+    ++enqueued_[dest];
     if (cfg_.transform) {
       outgoing_[dest].push_back(
-          BridgeEntry{msg.id, ++enqueued_[dest], incoming});
-    } else {
-      ++enqueued_[dest];
+          QueuedOp{msg.id, enqueued_[dest], bridge_op, {}});
     }
 
-    CenterMsg out;
-    out.id = msg.id;
-    out.ops = incoming;
-    out.stamp.csv = clock_.stamp_for(dest);
-    out.stamp.full = vc_;
+    stamp.csv = clock_.stamp_for(dest);
     // Eq. (1) invariant: the per-destination send counter *is*
     // Σ_{j≠dest} SV_0[j].
-    CCVC_CHECK(out.stamp.csv.from_center == enqueued_[dest]);
-    net::Payload out_bytes = encode(out, cfg_.stamp_mode);
-    CCVC_METRIC_COUNT("engine.notifier.broadcasts", 1);
-    CCVC_METRIC_HIST("engine.wire.stamp_bytes",
-                     stamp_wire_size(out.stamp, cfg_.stamp_mode));
+    CCVC_CHECK(stamp.csv.from_center == enqueued_[dest]);
+    const std::size_t stamp_bytes = stamp_wire_size(stamp, cfg_.stamp_mode);
+    net::Payload out_bytes = center_msg.stamped(stamp, cfg_.stamp_mode);
+    CCVC_METRIC_HIST("engine.wire.stamp_bytes", stamp_bytes);
     if (observer_) {
-      observer_->on_wire(kNotifierSite, dest, out_bytes.size(),
-                         stamp_wire_size(out.stamp, cfg_.stamp_mode));
+      observer_->on_wire(kNotifierSite, dest, out_bytes.size(), stamp_bytes);
     }
     send_(dest, std::move(out_bytes));
+    ++sends;
   }
+  if (sends > 0) CCVC_METRIC_COUNT("engine.notifier.broadcasts", sends);
 
   if (cfg_.gc_history) gc_history();
 }

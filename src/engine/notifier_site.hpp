@@ -23,10 +23,19 @@
 // Σ_{j≠y} SV_0[j] — exactly eq. (1) — and after acknowledgement-dropping
 // the queue for an arriving op's origin holds exactly the operations
 // formula (7) classifies as concurrent.
+//
+// Fan-out is encode-once, stamp-per-destination: by eq. (1)-(2) the N-1
+// copies of one re-broadcast O' differ only in their 2-integer stamp, so
+// apply_uplink encodes the CenterMsg head and op body once
+// (CenterMsgEncoder) and writes each destination one exact-size buffer
+// with its stamp spliced in.  The bridge queues likewise share one
+// OpList per broadcast; a transform that rewrites an entry for one
+// queue detaches that entry alone (copy-on-transform).
 #pragma once
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -130,6 +139,7 @@ class NotifierSite {
   /// HB entries dropped by garbage collection (gc_history mode).
   std::uint64_t hb_collected() const { return hb_collected_; }
 
+  /// A bridge-queue entry by value — the checkpoint form.
   struct BridgeEntry {
     OpId id;
     std::uint64_t index;  // 1-based enqueue counter for this client
@@ -162,6 +172,17 @@ class NotifierSite {
                SendFn send_to_client, EngineObserver* observer = nullptr);
 
  private:
+  /// BridgeEntry as queued.  Every queue a broadcast reaches shares its
+  /// O' through `shared`; the first transform that rewrites the entry
+  /// for one queue detaches it into `own` (copy-on-transform).
+  struct QueuedOp {
+    OpId id;
+    std::uint64_t index;
+    std::shared_ptr<const ot::OpList> shared;  // null once detached
+    ot::OpList own;
+
+    const ot::OpList& ops() const { return shared ? *shared : own; }
+  };
 
   std::size_t num_sites_;
   EngineConfig cfg_;
@@ -174,7 +195,7 @@ class NotifierSite {
   void gc_history();
 
   std::vector<NotifierHbEntry> hb_;
-  std::vector<std::deque<BridgeEntry>> outgoing_;   // [client id]
+  std::vector<std::deque<QueuedOp>> outgoing_;      // [client id]
   std::vector<std::uint64_t> enqueued_;             // total ever, per client
   std::vector<std::uint64_t> acked_;                // latest T[1] per client
   std::vector<bool> active_;                        // departed sites: false

@@ -1,6 +1,7 @@
 #include "engine/reliable_link.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/checksum.hpp"
@@ -51,7 +52,7 @@ net::Payload encode_frame(const Frame& frame) {
     }
   }
   w.crc(wire::f::kFrameCrc);
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 // The schema and the Frame::Kind enum name the same first wire byte.

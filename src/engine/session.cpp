@@ -1,5 +1,7 @@
 #include "engine/session.hpp"
 
+#include <utility>
+
 #include "engine/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
@@ -21,7 +23,7 @@ net::Payload encode_replica_checkpoint(const net::Payload& bundle) {
   wire::Writer w(sink);
   w.tag(wire::kReplicaCheckpoint);
   w.blob(wire::f::kReplicaBundle, bundle.data(), bundle.size());
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 net::Payload encode_replica_wal_entry(SiteId from,
@@ -31,7 +33,7 @@ net::Payload encode_replica_wal_entry(SiteId from,
   w.tag(wire::kReplicaWalEntry);
   w.uv(wire::f::kReplicaFrom, from);
   w.blob(wire::f::kReplicaPayload, payload.data(), payload.size());
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 }  // namespace
@@ -237,7 +239,7 @@ net::Payload StarSession::checkpoint() const {
     const net::Payload blob = save_checkpoint(*clients_[i]);
     w.blob(wire::f::kBlobBytes, blob.data(), blob.size());
   }
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 StarSession::StarSession(const StarSessionConfig& cfg,

@@ -1,5 +1,7 @@
 #include "engine/snapshot.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 #include "util/varint.hpp"
 #include "wire/engine.hpp"
@@ -97,7 +99,7 @@ net::Payload save_checkpoint(const ClientSite& site) {
   w.u8(wire::f::kCkptDeparted, s.departed ? 1 : 0);
   w.count(wire::f::kCkptUndone, s.undone.size());
   for (const auto& id : s.undone) put_id(sink, id);
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 ClientSite::State load_client_checkpoint(const net::Payload& bytes) {
@@ -177,7 +179,7 @@ net::Payload encode_notifier_state(const NotifierSite::State& s) {
   w.count(wire::f::kNotifActive, s.active.size());
   for (const bool v : s.active) w.u8(wire::f::kActiveFlagBit, v ? 1 : 0);
   w.uv(wire::f::kNotifHbCollected, s.hb_collected);
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 NotifierSite::State load_notifier_checkpoint(const net::Payload& bytes) {
@@ -246,7 +248,7 @@ net::Payload encode_notifier_bundle(const NotifierBundle& bundle) {
   for (const ReliableLink::State& link : bundle.links) {
     ReliableLink::encode_state(link, sink);
   }
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 NotifierBundle decode_notifier_bundle(const net::Payload& bytes) {

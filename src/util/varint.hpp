@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -20,6 +21,11 @@ namespace ccvc::util {
 /// Growable byte buffer used as a serialization target.
 class ByteSink {
  public:
+  ByteSink() = default;
+  /// Starts with room for `capacity` bytes, so an encoder that knows its
+  /// output size writes without regrowing.
+  explicit ByteSink(std::size_t capacity) { bytes_.reserve(capacity); }
+
   void put_u8(std::uint8_t b) { bytes_.push_back(b); }
 
   /// Unsigned LEB128 varint.
@@ -35,6 +41,8 @@ class ByteSink {
   void put_raw(const void* data, std::size_t n);
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  /// Hands the encoded bytes over without copying; the sink is spent.
+  std::vector<std::uint8_t> take() && { return std::move(bytes_); }
   std::size_t size() const { return bytes_.size(); }
   void clear() { bytes_.clear(); }
 

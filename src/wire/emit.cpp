@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "util/varint.hpp"
 #include "wire/schema.hpp"
@@ -69,7 +70,7 @@ std::string dict_escape(const std::vector<std::uint8_t>& bytes) {
 std::vector<std::uint8_t> uvarint_bytes(std::uint64_t v) {
   util::ByteSink sink;
   sink.put_uvarint(v);
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 void append_message_entries(std::ostringstream& os, const MessageDesc& m) {

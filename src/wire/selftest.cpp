@@ -14,7 +14,7 @@ namespace {
 
 class Checker {
  public:
-  SelftestResult take() { return std::move(result_); }
+  SelftestResult finish() { return std::move(result_); }
 
   void expect(bool cond, const MessageDesc& m, const FieldDesc& f,
               const char* what) {
@@ -240,7 +240,7 @@ SelftestResult boundary_selftest() {
       }
     }
   }
-  return c.take();
+  return c.finish();
 }
 
 }  // namespace ccvc::wire

@@ -77,6 +77,20 @@ TEST(PipelineEquivalence, TinyRingsStillEquivalent) {
   expect_equivalent(cfg);
 }
 
+// The benchmark's fan-out width: every broadcast reaches 31 or 63
+// destinations, and each must still get exactly the simulator's bytes.
+TEST(PipelineEquivalence, WideFanout) {
+  for (std::size_t n : {std::size_t{32}, std::size_t{64}}) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      EquivalenceConfig cfg;
+      cfg.num_sites = n;
+      cfg.ops_per_site = 3;
+      cfg.seed = seed;
+      expect_equivalent(cfg);
+    }
+  }
+}
+
 TEST(PipelineEquivalence, FullVectorModeEquivalent) {
   EquivalenceConfig cfg;
   cfg.num_sites = 3;
