@@ -213,7 +213,6 @@ RepeatResult bench_egress_batching(bool smoke) {
     std::vector<std::uint64_t> seq(n + 1, 0);
     runtime::PipelineConfig pcfg;
     pcfg.max_batch = max_batch;
-    pcfg.commit_order = runtime::CommitOrder::kPinned;
     pcfg.flush = runtime::FlushPolicy::kFixed;
     {
       runtime::NotifierPipeline pipeline(

@@ -66,9 +66,9 @@ class NotifierSite {
 
   /// A decoded, channel-validated uplink message: the output of the
   /// stateless parse stage and the input of the stateful single-writer
-  /// stage.  The threaded runtime's ingress shards run parse_uplink
-  /// concurrently; apply_uplink always runs on exactly one thread
-  /// (docs/THREADING.md, docs/CONCURRENCY.md).
+  /// stage.  The threaded runtime runs parse_uplink on each submit()
+  /// caller, concurrently; apply_uplink always runs on exactly one
+  /// thread (docs/THREADING.md, docs/CONCURRENCY.md).
   struct ParsedUplink {
     SiteId from = 0;
     bool leave = false;

@@ -3,23 +3,18 @@
 //
 // Stage layout (every arrow is a BoundedRing):
 //
-//   submit(from, bytes)            [any thread, ticketed]
-//        |---> ingress shard rings [client -> shard, static assignment]
-//   shard threads: parse_uplink    [stateless decode, concurrent]
+//   submit(from, bytes)            [any thread]
+//     parse_uplink                 [stateless decode, on the caller]
 //        |---> central MPSC ring
 //   transform thread: apply_uplink [single-writer GOT + SV state]
 //        |---> per-destination BatchAssembler (flush policy below)
 //        |---> egress ring
 //   egress thread: EgressFn(dest, 0xC5 batch frame)
 //
-// Commit order:
-//  * kPinned — operations commit in strict ticket (submit) order via a
-//    reorder buffer, so a replayed simulator trace produces the exact
-//    simulator state and egress bytes (sim/equivalence.hpp);
-//  * kFree — operations commit as they emerge from the shards.  Each
-//    client's uplink stays FIFO (one shard per client, per-producer
-//    FIFO rings), which is the only order the protocol needs; the
-//    center serialization order itself may differ run to run.
+// Commit order is central-ring order.  The ring is per-producer FIFO,
+// so each client's uplinks commit in submission order — the only order
+// the protocol needs — and a single submitting thread (the equivalence
+// replay, sim/equivalence.hpp) commits in exactly its call order.
 //
 // Flush policy:
 //  * kFixed — a destination flushes exactly when its assembler reaches
@@ -29,9 +24,11 @@
 //    ring runs empty (a tick boundary), bounding latency under light
 //    load.
 //
-// Threads never catch exceptions: a ContractViolation on the transform
-// stage is a protocol-state corruption and must terminate the process,
-// exactly as it would abort the deterministic simulator.
+// A malformed uplink throws out of submit() on the caller's thread,
+// before anything is counted or enqueued.  The pipeline threads never
+// catch exceptions: a ContractViolation on the transform stage is a
+// protocol-state corruption and must terminate the process, exactly as
+// it would abort the deterministic simulator.
 #pragma once
 
 #include <atomic>
@@ -54,10 +51,7 @@
 
 namespace ccvc::runtime {
 
-enum class CommitOrder : std::uint8_t {
-  kPinned,  ///< strict ticket order (equivalence replays)
-  kFree,    ///< shard emergence order (live closed-loop runs)
-};
+enum class CommitOrder : std::uint8_t { kPinned, kFree };
 
 enum class FlushPolicy : std::uint8_t {
   kFixed,     ///< flush at max_batch + at drain only (deterministic)
@@ -65,7 +59,10 @@ enum class FlushPolicy : std::uint8_t {
 };
 
 struct PipelineConfig {
-  std::size_t num_shards = 2;
+  /// num_shards and commit_order remain only because
+  /// perfbench/src/replay.cpp still assigns them: there is one ingress
+  /// path, so num_shards must be 1, and commit_order is read nowhere.
+  std::size_t num_shards = 1;
   /// Per-ring capacity; power of two.
   std::size_t ring_capacity = 1024;
   /// Egress coalescing bound, in [1, wire::kMaxBatchMsgs].
@@ -88,11 +85,12 @@ class NotifierPipeline {
   NotifierPipeline(const NotifierPipeline&) = delete;
   NotifierPipeline& operator=(const NotifierPipeline&) = delete;
 
-  /// Enqueues one uplink payload from client `from`; returns its
-  /// ticket.  Callable from any thread; blocks (backoff) while the
-  /// client's shard ring is full.  Calls from one thread commit in call
-  /// order under kPinned.
-  std::uint64_t submit(SiteId from, net::Payload bytes);
+  /// Parses one uplink payload from client `from` on the calling
+  /// thread and enqueues it for commit.  Callable from any thread;
+  /// blocks (backoff) while the central ring is full.  Calls from one
+  /// thread commit in call order.  A payload parse_uplink rejects
+  /// throws here and is neither counted nor enqueued.
+  void submit(SiteId from, net::Payload bytes);
 
   /// Blocks until everything submitted so far is parsed, committed,
   /// flushed, and handed to the EgressFn.  No submit() may run
@@ -111,21 +109,11 @@ class NotifierPipeline {
   std::uint64_t committed() const;
 
  private:
-  struct RawItem {
-    std::uint64_t ticket = 0;
-    SiteId from = 0;
-    net::Payload bytes;
-  };
-  struct ParsedItem {
-    std::uint64_t ticket = 0;
-    engine::NotifierSite::ParsedUplink parsed;
-  };
   struct EgressItem {
     SiteId dest = 0;
     net::Payload bytes;
   };
 
-  void shard_loop(std::size_t shard);
   void transform_loop();
   void egress_loop();
   void commit(engine::NotifierSite::ParsedUplink parsed);
@@ -143,8 +131,7 @@ class NotifierPipeline {
   std::unique_ptr<engine::NotifierSite> site_;
   std::vector<BatchAssembler> assemblers_;  // [dest]; transform thread only
 
-  std::vector<std::unique_ptr<BoundedRing<RawItem>>> shard_rings_;
-  BoundedRing<ParsedItem> central_;
+  BoundedRing<engine::NotifierSite::ParsedUplink> central_;
   BoundedRing<EgressItem> egress_ring_;
 
   std::atomic<std::uint64_t> submitted_{0};

@@ -9,11 +9,11 @@
 // serialization order — and every downlink delivery is recorded per
 // destination.
 //
-// Phase 2 (replay) pushes the recorded uplink trace, in order, through
-// a live NotifierPipeline with CommitOrder::kPinned: shards parse
-// concurrently, but tickets force commits back into the recorded
-// serialization order.  Egress batch frames are decoded and the inner
-// messages concatenated per destination.
+// Phase 2 (replay) submits the recorded uplink trace, in order, from
+// one thread through a live NotifierPipeline: the central ring is
+// per-producer FIFO, so commits follow the recorded serialization order
+// exactly.  Egress batch frames are decoded and the inner messages
+// concatenated per destination.
 //
 // Equivalence is byte-level on both sides of the notifier:
 //  * state  — save_checkpoint() of the simulator's notifier equals the
@@ -21,7 +21,7 @@
 //  * egress — every destination's unbatched downlink byte stream is
 //    identical to the simulator's.
 //
-// Replaying under CommitOrder::kFree would be protocol-invalid — the
+// Replaying from several threads would be protocol-invalid — the
 // recorded *bytes* embody the recorded serialization (stamps
 // acknowledge specific center ops), so a different commit order needs a
 // live closed loop; that is run_threaded_star's job.
@@ -41,8 +41,7 @@ struct EquivalenceConfig {
   std::uint64_t seed = 0x5eedu;
   std::string initial_doc = "ccvc";
   engine::EngineConfig engine;
-  /// Pipeline shape for the replay (commit order is always kPinned).
-  std::size_t num_shards = 2;
+  /// Pipeline shape for the replay (flush is always kFixed).
   std::size_t max_batch = 16;
   std::size_t ring_capacity = 1024;
 };

@@ -1,6 +1,6 @@
 // BoundedRing unit and stress coverage: FIFO semantics, full/empty
-// edges, and the per-producer ordering guarantee the pipeline's ingress
-// sharding relies on (docs/THREADING.md §2).
+// edges, and the per-producer ordering guarantee the pipeline's central
+// ring relies on (docs/THREADING.md §2).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,7 +49,7 @@ TEST(BoundedRing, NonPowerOfTwoCapacityIsContractViolation) {
 
 // Multiple producers, one consumer: every item arrives exactly once and
 // each producer's items arrive in its push order — the property that
-// keeps each client's uplink FIFO through its shard.
+// keeps each client's uplink FIFO through the central ring.
 TEST(BoundedRing, MpscStressPreservesPerProducerFifo) {
   struct Item {
     std::uint32_t producer = 0;

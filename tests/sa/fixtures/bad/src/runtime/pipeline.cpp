@@ -2,7 +2,7 @@
 // checker.  tests/sa/sa_selftest.py asserts the exact per-checker
 // finding counts (EXPECTED_BAD) — nothing more, nothing less:
 //
-//   * shared_counter_  plain write from ingress AND transform closures
+//   * shared_counter_  plain write from producer AND transform closures
 //                      (single-writer);
 //   * flag_.store(1)   atomic op with a defaulted order (atomics-order);
 //   * tmp.push_back    allocation on the submit path (hot-path-budget;
@@ -27,7 +27,6 @@ struct OutRing {
 class NotifierPipeline {
  public:
   std::uint64_t submit(int from);
-  void shard_loop(std::size_t shard);
   void transform_loop();
   void on_broadcast(int dest);
   void egress_loop();
@@ -43,11 +42,8 @@ class NotifierPipeline {
 std::uint64_t NotifierPipeline::submit(int from) {
   std::vector<int> tmp;
   tmp.push_back(from);
+  shared_counter_ += from;
   return submitted_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void NotifierPipeline::shard_loop(std::size_t shard) {
-  shared_counter_ += static_cast<int>(shard);
 }
 
 void NotifierPipeline::transform_loop() {

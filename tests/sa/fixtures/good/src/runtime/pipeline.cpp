@@ -8,8 +8,8 @@
 //   * cold_/cold_path allocation + loop, but unreachable from the roots;
 //   * log_.push_back  real budget hit carrying a live allow() pragma;
 //   * every atomic op spells out its memory order;
-//   * shard_loop/transform_loop spins consult stop_, which shutdown()
-//     writes from another context (liveness must accept, not flag);
+//   * transform_loop's spins consult stop_, which shutdown() writes
+//     from another context (liveness must accept, not flag);
 //   * out_ring_       a capacity wait whose edge transform → egress is
 //                     acyclic (blocking-graph must accept the edge);
 //   * cv_/ready_      predicate-form wait whose predicate writer
@@ -30,7 +30,6 @@ struct Ring {
 class NotifierPipeline {
  public:
   std::uint64_t submit(int from);
-  void shard_loop(std::size_t shard);
   void transform_loop();
   void on_broadcast(int dest);
   void egress_loop();
@@ -60,17 +59,14 @@ std::uint64_t NotifierPipeline::submit(int from) {
          static_cast<std::uint64_t>(from);
 }
 
-void NotifierPipeline::shard_loop(std::size_t shard) {
-  int item = static_cast<int>(shard);
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (central_.try_pop(item)) continue;
-  }
-}
-
 void NotifierPipeline::transform_loop() {
+  int item = 0;
+  while (!stop_.load(std::memory_order_acquire)) {
+    if (central_.try_pop(item)) break;
+  }
   // Plain unlocked write — legal because only the transform closure
   // ever writes it.
-  got_state_ += 1;
+  got_state_ += item;
   on_broadcast(got_state_);
   // Capacity wait that (a) consults stop_, written by shutdown() in
   // another context, and (b) forms the acyclic edge transform → egress

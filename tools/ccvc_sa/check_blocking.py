@@ -2,8 +2,8 @@
 gates for the threaded runtime (src/runtime/ + src/util/).
 
 docs/THREADING.md §5 argues deadlock-freedom in prose: the only cycle
-through the pipeline's blocking edges (client → shard ring → central
-ring → egress ring → inbox → client) stays open because client inboxes
+through the pipeline's blocking edges (client → central ring → egress
+ring → inbox → client) stays open because client inboxes
 are unbounded and the egress edge never waits for space.  These two
 checkers turn that argument into a machine-checked gate.
 
@@ -64,7 +64,7 @@ DOC_REL = "docs/BLOCKING.md"
 
 # The blocking graph renames `producer` to `client`: the closed-loop
 # client threads are the only executors of submit(), and the documented
-# 5-edge cycle names that node "client".
+# 4-edge cycle names that node "client".
 NODE_RENAME = {"producer": "client"}
 
 # (host function, closure, anchor token sequence): the first lambda body
@@ -212,7 +212,7 @@ def _receiver(body: list, dot_idx: int) -> str:
 def _aliases(body: list) -> dict[str, str]:
     """Local reference aliases: `T& name = ...member...` and range-for
     `T& name : target` — maps name -> the first meaningful identifier of
-    its initializer, so `ring.try_push` resolves to `shard_rings_`."""
+    its initializer, so `ring.try_push` resolves to the ring member."""
     out: dict[str, str] = {}
     n = len(body)
     for k, t in enumerate(body):

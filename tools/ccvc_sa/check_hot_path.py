@@ -40,7 +40,6 @@ from check_shared_state import HOT_PATH_ROOTS
 # drain/shutdown — is deliberately NOT budgeted, it runs per session,
 # not per op).
 PIPELINE_ROOTS = [
-    "NotifierPipeline::shard_loop",
     "NotifierPipeline::transform_loop",
     "NotifierPipeline::on_broadcast",
     "NotifierPipeline::egress_loop",

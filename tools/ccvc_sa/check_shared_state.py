@@ -26,8 +26,8 @@ from sa_model import Model, Var
 # Delivery entry points of the star topology hot path.  send_ is a
 # std::function at every hop, so each hop's receive side is a root.
 # NotifierPipeline::submit is the threaded runtime's ingress edge
-# (docs/THREADING.md §2): everything the shard/transform/egress threads
-# touch hangs off it.
+# (docs/THREADING.md §2): everything the transform/egress threads touch
+# hangs off it.
 HOT_PATH_ROOTS = [
     "NotifierSite::on_client_message",
     "ClientSite::on_center_message",

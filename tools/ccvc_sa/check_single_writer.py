@@ -24,9 +24,9 @@ declared in the scope files must satisfy one of:
   single-closure all writers (constructors/destructor excluded — they
                  happen-before thread start / after join) fall inside
                  at most ONE thread closure, and that closure is not a
-                 concurrent one (multiple threads execute `submit` and
-                 the ingress shard loop, so a plain write reachable
-                 from those alone is already a race).
+                 concurrent one (multiple threads execute `submit`, so
+                 a plain write reachable from it alone is already a
+                 race).
 
 Separately, the transform stage's exclusivity over the engine state is
 pinned: `NotifierSite::apply_uplink` (GOT queues, SV clocks, document)
@@ -56,7 +56,6 @@ RING_FILES = ("src/runtime/bounded_ring.hpp",)
 # inside apply_uplink's broadcast callback (docs/THREADING.md §2).
 THREAD_CLOSURES: dict[str, tuple[list[str], bool]] = {
     "producer": (["NotifierPipeline::submit"], True),
-    "ingress": (["NotifierPipeline::shard_loop"], True),
     "transform": (["NotifierPipeline::transform_loop",
                    "NotifierPipeline::on_broadcast"], False),
     "egress": (["NotifierPipeline::egress_loop"], False),
