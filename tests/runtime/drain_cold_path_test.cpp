@@ -24,8 +24,14 @@ namespace {
 
 using namespace ccvc;
 
-class DrainColdPath
-    : public ::testing::TestWithParam<runtime::FlushPolicy> {};
+// commit_order is read nowhere now that there is one ingress path; the
+// Pinned/Free cases are kept so both config values stay covered.
+struct ColdCase {
+  runtime::CommitOrder order;
+  runtime::FlushPolicy flush;
+};
+
+class DrainColdPath : public ::testing::TestWithParam<ColdCase> {};
 
 // One client feeding the tiniest legal pipeline, draining after every
 // tiny burst.  Every submit beyond the second of a burst must ride the
@@ -34,7 +40,8 @@ TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
   runtime::PipelineConfig pcfg;
   pcfg.ring_capacity = 2;  // smallest power of two > 1
   pcfg.max_batch = 1;      // a frame per committed op
-  pcfg.flush = GetParam();
+  pcfg.commit_order = GetParam().order;
+  pcfg.flush = GetParam().flush;
 
   engine::EngineConfig ecfg;
   // Two sites: the center skips the originator on broadcast, so a
@@ -91,12 +98,20 @@ TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, DrainColdPath,
-    ::testing::Values(runtime::FlushPolicy::kFixed,
-                      runtime::FlushPolicy::kAdaptive),
-    [](const ::testing::TestParamInfo<runtime::FlushPolicy>& pinfo) {
-      return std::string(pinfo.param == runtime::FlushPolicy::kFixed
-                             ? "Fixed"
-                             : "Adaptive");
+    ::testing::Values(
+        ColdCase{runtime::CommitOrder::kPinned, runtime::FlushPolicy::kFixed},
+        ColdCase{runtime::CommitOrder::kPinned,
+                 runtime::FlushPolicy::kAdaptive},
+        ColdCase{runtime::CommitOrder::kFree, runtime::FlushPolicy::kFixed},
+        ColdCase{runtime::CommitOrder::kFree,
+                 runtime::FlushPolicy::kAdaptive}),
+    [](const ::testing::TestParamInfo<ColdCase>& pinfo) {
+      std::string name =
+          pinfo.param.order == runtime::CommitOrder::kPinned ? "Pinned"
+                                                             : "Free";
+      name += pinfo.param.flush == runtime::FlushPolicy::kFixed ? "Fixed"
+                                                                : "Adaptive";
+      return name;
     });
 
 // A payload parse_uplink rejects throws out of submit() on the caller's
