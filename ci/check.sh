@@ -2,7 +2,8 @@
 # Full verification pipeline — everything a PR must survive, in order:
 #
 #   1. -Werror configure + build (RelWithDebInfo preset)
-#   2. full test suite under ASan+UBSan (Debug, CCVC_DCHECK live)
+#   2. full test suite under ASan+UBSan (Debug, CCVC_DCHECK live);
+#      the python-only `sa` label runs once, in step 11
 #   3. clang-tidy over src/            (skipped if the tool is absent)
 #      + gcc -fanalyzer report         (informational, never fails)
 #   4. cppcheck over src/              (skipped if the tool is absent)
@@ -19,12 +20,12 @@
 #      PROTOCOL.md table, fuzz dictionaries, boundary round-trips)
 #      plus the `schema` ctest label (golden bytes, bound rejects,
 #      negative compiles, --check mutation test)
-#  11. cross-TU dataflow gate: tools/ccvc_sa --check, all eight
-#      checkers (wire-taint, exception-discipline, shared-state,
-#      single-writer, atomics-order, hot-path-budget, blocking-graph,
-#      liveness-discipline; generated docs CONCURRENCY.md / ATOMICS.md
-#      / HOTPATH.md / BLOCKING.md byte-gated) + tools/sa_mutation.sh
-#      corpus replay, plus the `sa` ctest label
+#  11. cross-TU dataflow gate, the `sa` ctest label: tools/ccvc_sa
+#      --check with all seven checkers (wire-taint,
+#      exception-discipline, single-writer, atomics-order,
+#      hot-path-budget, blocking-graph, liveness-discipline; generated
+#      docs ATOMICS.md / HOTPATH.md / BLOCKING.md byte-gated), the
+#      tools/sa_mutation.sh corpus, and the tests/sa/ fixture selftest
 #  12. failover under ThreadSanitizer: the hot-standby replication,
 #      fail-stop, and promotion paths (engine failover tests, the
 #      chaos failover/backpressure sweeps, and the scripted failover
@@ -34,19 +35,6 @@
 #      re-run with -fsanitize=thread: the sim-equivalence suite
 #      (byte-identical snapshots vs the deterministic backend across
 #      seeds and N) plus the closed-loop chaos sweep on real threads
-#  14. concurrency-discipline & budget gates: the three PR 9 checkers
-#      run as one comma-selected pass over a single parsed model
-#      (single-writer,atomics-order,hot-path-budget), both generated
-#      docs (docs/ATOMICS.md, docs/HOTPATH.md) verified byte-identical
-#      against fresh --emit output, and the per-checker fixture
-#      selftest (tests/sa/) replayed
-#  15. blocking-graph & liveness gates: the static wait-for graph over
-#      (thread closure × resource) edges proven acyclic, the
-#      unbounded-inbox / egress-never-blocks rules checked as edge
-#      absences, liveness discipline (predicate cv waits with reaching
-#      notifies, flag-consulting spins, control-only joins), and
-#      docs/BLOCKING.md verified byte-identical against fresh
-#      --emit-blocking output
 #
 # Any finding exits non-zero.  Optional tools that are not installed are
 # reported as SKIPPED, not failed, so the pipeline works on GCC-only
@@ -69,18 +57,18 @@ fail() {
   FAILURES=$((FAILURES + 1))
 }
 
-step "1/15 configure + build, -Werror (relwithdebinfo)"
+step "1/13 configure + build, -Werror (relwithdebinfo)"
 cmake --preset relwithdebinfo >/dev/null &&
   cmake --build --preset relwithdebinfo "$JOBS" ||
   fail "-Werror build"
 
-step "2/15 full suite under ASan+UBSan (Debug; DCHECK contracts live)"
+step "2/13 full suite under ASan+UBSan (Debug; DCHECK contracts live)"
 cmake --preset asan-ubsan >/dev/null &&
   cmake --build --preset asan-ubsan "$JOBS" &&
-  ctest --preset asan-ubsan "$JOBS" -LE "fuzz_smoke|chaos|model" ||
+  ctest --preset asan-ubsan "$JOBS" -LE "fuzz_smoke|chaos|model|sa" ||
   fail "asan-ubsan test suite"
 
-step "3/15 clang-tidy (+ gcc -fanalyzer, informational)"
+step "3/13 clang-tidy (+ gcc -fanalyzer, informational)"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake --build build-relwithdebinfo --target tidy || fail "clang-tidy"
 else
@@ -98,24 +86,24 @@ else
   echo "SKIPPED: gcc -fanalyzer target unavailable (needs GCC >= 12)"
 fi
 
-step "4/15 cppcheck"
+step "4/13 cppcheck"
 if command -v cppcheck >/dev/null 2>&1; then
   cmake --build build-relwithdebinfo --target cppcheck || fail "cppcheck"
 else
   echo "SKIPPED: cppcheck not installed"
 fi
 
-step "5/15 protocol lint (tools/ccvc_lint.py)"
+step "5/13 protocol lint (tools/ccvc_lint.py)"
 python3 tools/ccvc_lint.py --root "$PWD" --compiler "${CXX:-c++}" ||
   fail "ccvc_lint"
 
-step "6/15 fuzz smoke (sanitized, seed corpus + 20k runs each)"
+step "6/13 fuzz smoke (sanitized, seed corpus + 20k runs each)"
 ctest --preset asan-ubsan -L fuzz_smoke || fail "fuzz smoke"
 
-step "7/15 chaos property suite (sanitized fault injection + recovery)"
+step "7/13 chaos property suite (sanitized fault injection + recovery)"
 ctest --preset asan-ubsan "$JOBS" -L chaos || fail "chaos suite"
 
-step "8/15 bench pipeline smoke + BENCH_results.json schema check"
+step "8/13 bench pipeline smoke + BENCH_results.json schema check"
 cmake --build build-relwithdebinfo "$JOBS" --target bench_main >/dev/null &&
   python3 tools/bench_report.py --build-dir build-relwithdebinfo \
     --mode smoke --output "$(mktemp -t bench_smoke.XXXXXX.json)" &&
@@ -123,27 +111,24 @@ cmake --build build-relwithdebinfo "$JOBS" --target bench_main >/dev/null &&
   python3 tools/bench_report.py --check-trajectory BENCH_trajectory.json ||
   fail "bench pipeline"
 
-step "9/15 bounded model checking (ccvc_mc + model-label tests)"
+step "9/13 bounded model checking (ccvc_mc + model-label tests)"
 cmake --build build-relwithdebinfo "$JOBS" --target ccvc_mc model_tests \
     >/dev/null &&
   ./build-relwithdebinfo/src/analysis/ccvc_mc all &&
   ctest --test-dir build-relwithdebinfo "$JOBS" -L model ||
   fail "model checking"
 
-step "10/15 wire-schema gate (ccvc_schema --check + schema-label tests)"
+step "10/13 wire-schema gate (ccvc_schema --check + schema-label tests)"
 cmake --build build-relwithdebinfo "$JOBS" --target ccvc_schema wire_tests \
     >/dev/null &&
   ./build-relwithdebinfo/src/analysis/ccvc_schema --check --root "$PWD" &&
   ctest --test-dir build-relwithdebinfo "$JOBS" -L schema ||
   fail "wire-schema gate"
 
-step "11/15 cross-TU dataflow gate (ccvc_sa --check + mutation corpus)"
-python3 tools/ccvc_sa --check --root "$PWD" &&
-  sh tools/sa_mutation.sh "$PWD" python3 &&
-  ctest --test-dir build-relwithdebinfo "$JOBS" -L sa ||
-  fail "ccvc_sa gate"
+step "11/13 cross-TU dataflow gate (ccvc_sa, mutation corpus, selftest)"
+ctest --test-dir build-relwithdebinfo "$JOBS" -L sa || fail "ccvc_sa gate"
 
-step "12/15 failover under TSan (hot-standby promotion + chaos sweep)"
+step "12/13 failover under TSan (hot-standby promotion + chaos sweep)"
 cmake --preset tsan >/dev/null &&
   cmake --build --preset tsan "$JOBS" \
     --target engine_tests chaos_tests scenario_player >/dev/null &&
@@ -151,27 +136,10 @@ cmake --preset tsan >/dev/null &&
     -R "Failover|HotStandby|scenario_chaos_failover" ||
   fail "tsan failover"
 
-step "13/15 threaded runtime under TSan (equivalence + chaos sweep)"
+step "13/13 threaded runtime under TSan (equivalence + chaos sweep)"
 cmake --build --preset tsan "$JOBS" --target runtime_tests >/dev/null &&
   ctest --test-dir build-tsan "$JOBS" -L runtime ||
   fail "tsan threaded runtime"
-
-step "14/15 concurrency-discipline & budget gates (ownership, atomics, hot path)"
-python3 tools/ccvc_sa --check --root "$PWD" \
-    --checker single-writer,atomics-order,hot-path-budget &&
-  python3 tools/ccvc_sa --emit-atomics --root "$PWD" |
-    diff -u docs/ATOMICS.md - &&
-  python3 tools/ccvc_sa --emit-hotpath --root "$PWD" |
-    diff -u docs/HOTPATH.md - &&
-  python3 tests/sa/sa_selftest.py --root "$PWD" ||
-  fail "concurrency-discipline gates"
-
-step "15/15 blocking-graph & liveness gates (wait-for graph, BLOCKING.md)"
-python3 tools/ccvc_sa --check --root "$PWD" \
-    --checker blocking-graph,liveness-discipline &&
-  python3 tools/ccvc_sa --emit-blocking --root "$PWD" |
-    diff -u docs/BLOCKING.md - ||
-  fail "blocking-graph gates"
 
 printf '\n'
 if [ "$FAILURES" -ne 0 ]; then

@@ -90,9 +90,9 @@ if(Python3_Interpreter_FOUND)
   set_tests_properties(ccvc_lint_selftest PROPERTIES LABELS "lint"
                        TIMEOUT 300)
 
-  # Cross-TU analyzer gate (ctest -L sa): the committed baseline and
-  # CONCURRENCY.md must match the tree, and the mutation corpus proves
-  # each checker class actually fires.
+  # Cross-TU analyzer gate (ctest -L sa): the committed baseline and the
+  # generated ATOMICS/HOTPATH/BLOCKING docs must match the tree, and the
+  # mutation corpus proves each checker class actually fires.
   add_test(NAME ccvc_sa
     COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/ccvc_sa
             --check --root ${CMAKE_SOURCE_DIR})

@@ -68,7 +68,7 @@ class NotifierSite {
   /// stateless parse stage and the input of the stateful single-writer
   /// stage.  The threaded runtime runs parse_uplink on each submit()
   /// caller, concurrently; apply_uplink always runs on exactly one
-  /// thread (docs/THREADING.md, docs/CONCURRENCY.md).
+  /// thread (docs/THREADING.md §2; `ccvc_sa single-writer` pins it).
   struct ParsedUplink {
     SiteId from = 0;
     bool leave = false;

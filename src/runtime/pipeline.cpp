@@ -61,6 +61,10 @@ std::uint64_t NotifierPipeline::committed() const {
 }
 
 void NotifierPipeline::submit(SiteId from, net::Payload bytes) {
+  // parse_uplink only checks the message against `from`; a `from` past
+  // num_sites_ would otherwise pass here and abort the transform thread.
+  CCVC_CHECK_MSG(from >= 1 && from <= num_sites_,
+                 "uplink from a site outside [1, num_sites]");
   const auto t0 = std::chrono::steady_clock::now();
   engine::NotifierSite::ParsedUplink parsed =
       engine::NotifierSite::parse_uplink(from, bytes, cfg_);

@@ -114,9 +114,10 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// A payload parse_uplink rejects throws out of submit() on the caller's
-// thread: nothing is counted or enqueued, drain() still returns, and
-// the pipeline keeps committing the valid uplinks that follow.
+// A payload parse_uplink rejects, or one from a site outside
+// [1, num_sites], throws out of submit() on the caller's thread:
+// nothing is counted or enqueued, drain() still returns, and the
+// pipeline keeps committing the valid uplinks that follow.
 TEST(PipelineIngress, MalformedUplinkThrowsOnTheCaller) {
   runtime::PipelineConfig pcfg;
   pcfg.max_batch = 1;  // a frame per committed op
@@ -147,6 +148,14 @@ TEST(PipelineIngress, MalformedUplinkThrowsOnTheCaller) {
   engine::ClientSite scratch2(2, 2, "", ecfg, capture);
   scratch2.insert(0, "y");
   EXPECT_THROW(pipe.submit(1, captured), ContractViolation);
+  EXPECT_EQ(pipe.submitted(), 0u);
+
+  // A well-formed message from a site the 2-site pipeline does not
+  // have, on its own channel: parse_uplink accepts it, submit() must
+  // not.
+  engine::ClientSite scratch3(3, 3, "", ecfg, capture);
+  scratch3.insert(0, "z");
+  EXPECT_THROW(pipe.submit(3, captured), ContractViolation);
   EXPECT_EQ(pipe.submitted(), 0u);
 
   pipe.drain();

@@ -1,8 +1,6 @@
 // Bad-tree fixture, wire-facing half: one unguarded decoded count
 // (wire-taint) and one decode-path ContractViolation
-// (exception-discipline).  The shared-state violation is not seeded in
-// C++ at all — sa_selftest.py corrupts the staged CONCURRENCY.md, which
-// must surface as exactly one drift finding.
+// (exception-discipline).
 #include <cstdint>
 #include <stdexcept>
 #include <vector>

@@ -3,7 +3,9 @@
 // finding counts (EXPECTED_BAD) — nothing more, nothing less:
 //
 //   * shared_counter_  plain write from producer AND transform closures
-//                      (single-writer);
+//                      (single-writer #1);
+//   * g_egress_total   plain global written from the egress closure
+//                      (single-writer #2);
 //   * flag_.store(1)   atomic op with a defaulted order (atomics-order);
 //   * tmp.push_back    allocation on the submit path (hot-path-budget;
 //                      the staged HOTPATH.md is generated from this
@@ -19,6 +21,8 @@
 #include <vector>
 
 namespace fx {
+
+int g_egress_total = 0;
 
 struct OutRing {
   bool try_push(int v);
@@ -64,6 +68,7 @@ void NotifierPipeline::egress_loop() {
   int item = 0;
   while (!out_ring_.try_push(item)) {
   }
+  ++g_egress_total;
 }
 
 }  // namespace fx

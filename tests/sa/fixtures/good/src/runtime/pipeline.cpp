@@ -8,6 +8,9 @@
 //   * cold_/cold_path allocation + loop, but unreachable from the roots;
 //   * log_.push_back  real budget hit carrying a live allow() pragma;
 //   * every atomic op spells out its memory order;
+//   * g_commits       global written on the hot path, but atomic;
+//   * g_verbose       plain global read on the hot path, but written
+//                     only by set_verbose(), outside every closure;
 //   * transform_loop's spins consult stop_, which shutdown() writes
 //     from another context (liveness must accept, not flag);
 //   * out_ring_       a capacity wait whose edge transform → egress is
@@ -21,6 +24,11 @@
 #include <vector>
 
 namespace fx {
+
+std::atomic<std::uint64_t> g_commits{0};
+int g_verbose = 0;
+
+void set_verbose(int v) { g_verbose = v; }
 
 struct Ring {
   bool try_pop(int& out);
@@ -66,7 +74,8 @@ void NotifierPipeline::transform_loop() {
   }
   // Plain unlocked write — legal because only the transform closure
   // ever writes it.
-  got_state_ += item;
+  got_state_ += item + g_verbose;
+  g_commits.fetch_add(1, std::memory_order_relaxed);
   on_broadcast(got_state_);
   // Capacity wait that (a) consults stop_, written by shutdown() in
   // another context, and (b) forms the acyclic edge transform → egress

@@ -2,7 +2,6 @@
 
 Usage:
   python3 tools/ccvc_sa --check [--root DIR] [--checker A,B,...] [--json]
-  python3 tools/ccvc_sa --emit-concurrency [--root DIR]
   python3 tools/ccvc_sa --emit-atomics [--root DIR]
   python3 tools/ccvc_sa --emit-hotpath [--root DIR]
   python3 tools/ccvc_sa --emit-blocking [--root DIR]
@@ -34,7 +33,6 @@ import sa_schema                                   # noqa: E402
 from sa_model import build_model                   # noqa: E402
 import check_wire_taint                            # noqa: E402,F401
 import check_exceptions                            # noqa: E402,F401
-import check_shared_state                          # noqa: E402,F401
 import check_single_writer                         # noqa: E402,F401
 import check_atomics_order                         # noqa: E402,F401
 import check_hot_path                              # noqa: E402,F401
@@ -54,8 +52,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--json", action="store_true",
                     help="with --check: emit findings as JSON for CI "
                          "consumption instead of human-readable lines")
-    ap.add_argument("--emit-concurrency", action="store_true",
-                    help="print the shared-state inventory markdown")
     ap.add_argument("--emit-atomics", action="store_true",
                     help="print the memory-order inventory markdown")
     ap.add_argument("--emit-hotpath", action="store_true",
@@ -68,8 +64,11 @@ def main(argv: list[str]) -> int:
 
     if args.list:
         for name, fn in sa_engine.CHECKERS:
-            doc = (fn.__doc__ or "").strip().splitlines()
-            print(f"{name}: {doc[0] if doc else ''}")
+            # The summary paragraph of the checker's docstring, else of
+            # its module's.
+            doc = fn.__doc__ or sys.modules[fn.__module__].__doc__ or ""
+            summary = " ".join(doc.strip().split("\n\n")[0].split())
+            print(f"{name}: {summary.removeprefix(f'{name} — ')}")
         return 0
 
     root = pathlib.Path(args.root) if args.root else \
@@ -84,9 +83,6 @@ def main(argv: list[str]) -> int:
     xref = sa_schema.load_xref(root)
     ctx = sa_engine.Context(root=root, xref=xref)
 
-    if args.emit_concurrency:
-        sys.stdout.write(check_shared_state.emit_concurrency(model))
-        return 0
     if args.emit_atomics:
         sys.stdout.write(check_atomics_order.emit_atomics(model))
         return 0

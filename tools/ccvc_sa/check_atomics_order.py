@@ -21,9 +21,7 @@ about when auditing an acquire/release pairing.
 
 from __future__ import annotations
 
-import pathlib
-
-from sa_engine import Context, Finding, checker
+from sa_engine import Context, Finding, checker, drift_gate
 from sa_model import Func, Model
 
 ATOMIC_OPS = {
@@ -38,9 +36,9 @@ HEADER = """\
 # ATOMICS.md — memory-order inventory (generated)
 
 Generated by `python3 tools/ccvc_sa --emit-atomics`.  **Do not edit by
-hand** — CI step 14 regenerates it and fails on any byte difference
-(`atomics-order` checker), so every ordering change is forced through
-this table and its review.
+hand** — `ccvc_sa --check` (CI step 11, ctest label `sa`) fails on
+any byte difference (`atomics-order` checker), so every ordering change
+is forced through this table and its review.
 
 One row per atomic operation under `src/`: the function it lives in,
 the atomic variable, the operation, and the explicit memory order(s)
@@ -149,16 +147,5 @@ def check_atomics_order(model: Model, ctx: Context) -> list[Finding]:
                     f"memory_order — defaulted seq_cst hides the protocol; "
                     f"pick an order and record it in docs/ATOMICS.md"))
 
-    expected = emit_atomics(model)
-    doc = pathlib.Path(ctx.root) / DOC_REL
-    if not doc.is_file():
-        findings.append(Finding(
-            "atomics-order", DOC_REL, 1, "missing",
-            f"{DOC_REL} not found — generate it with "
-            f"`python3 tools/ccvc_sa --emit-atomics`"))
-    elif doc.read_text(encoding="utf-8") != expected:
-        findings.append(Finding(
-            "atomics-order", DOC_REL, 1, "drift",
-            f"{DOC_REL} does not match the code (byte-identical check) — "
-            f"regenerate with `python3 tools/ccvc_sa --emit-atomics`"))
-    return findings
+    return findings + drift_gate("atomics-order", ctx, DOC_REL,
+                                 emit_atomics(model), "--emit-atomics")

@@ -51,10 +51,9 @@ to the closures whose threads execute them.
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass, field
 
-from sa_engine import Context, Finding, checker
+from sa_engine import Context, Finding, checker, drift_gate
 from sa_model import Func, Model
 from check_single_writer import THREAD_CLOSURES, LOCK_TOKENS
 
@@ -94,9 +93,10 @@ HEADER = """\
 # BLOCKING.md — blocking-operation inventory & wait-for graph (generated)
 
 Generated by `python3 tools/ccvc_sa --emit-blocking`.  **Do not edit by
-hand** — CI step 15 regenerates it and fails on any byte difference
-(`blocking-graph` checker), so every new blocking operation or wait-for
-edge is forced through this inventory and its review.
+hand** — `ccvc_sa --check` (CI step 11, ctest label `sa`) fails on
+any byte difference (`blocking-graph` checker), so every new blocking
+operation or wait-for edge is forced through this inventory and its
+review.
 
 Scope: `src/runtime/` + `src/util/`.  Operations are attributed to the
 per-thread stage closures of `check_single_writer` (with `producer`
@@ -902,19 +902,8 @@ def check_blocking_graph(model: Model, ctx: Context) -> list[Finding]:
             f"cycle can be waiting for another's progress; the "
             f"wait-for graph must stay acyclic"))
 
-    expected = emit_blocking(model)
-    doc = pathlib.Path(ctx.root) / DOC_REL
-    if not doc.is_file():
-        findings.append(Finding(
-            "blocking-graph", DOC_REL, 1, "missing",
-            f"{DOC_REL} not found — generate it with "
-            f"`python3 tools/ccvc_sa --emit-blocking`"))
-    elif doc.read_text(encoding="utf-8") != expected:
-        findings.append(Finding(
-            "blocking-graph", DOC_REL, 1, "drift",
-            f"{DOC_REL} does not match the code (byte-identical check) "
-            f"— regenerate with `python3 tools/ccvc_sa --emit-blocking`"))
-    return findings
+    return findings + drift_gate("blocking-graph", ctx, DOC_REL,
+                                 emit_blocking(model), "--emit-blocking")
 
 
 @checker("liveness-discipline")

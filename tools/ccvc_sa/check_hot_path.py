@@ -4,9 +4,10 @@ hot path, gated as a generated document.
 The ROADMAP's million-site scale driver wants a zero-allocation hot
 path.  This checker makes the current distance from that goal a
 first-class, reviewed artifact instead of folklore: it walks the
-type-refined closure from HOT_PATH_ROOTS (the same entry points the
-shared-state inventory uses, plus `NotifierPipeline::submit` which is
-already among them) and flags, per reachable function body:
+type-refined closure from check_single_writer.hot_path_roots() — the
+simulator's delivery roots plus the roots of every pipeline thread
+closure except the control plane (drain/shutdown run per session, not
+per op) — and flags, per reachable function body:
 
   * heap allocation — `new` expressions, `make_unique`/`make_shared`,
     growth calls on containers (`push_back`, `emplace_back`, `resize`,
@@ -27,25 +28,9 @@ cannot actually call would train people to ignore it.
 
 from __future__ import annotations
 
-import pathlib
-
-from sa_engine import Context, Finding, checker
+from sa_engine import Context, Finding, checker, drift_gate
 from sa_model import Func, Model
-from check_shared_state import HOT_PATH_ROOTS
-
-# The pipeline worker loops are thread entry points, not callees of
-# submit() — std::thread breaks the static graph at spawn, so the
-# per-op stage bodies are seeded explicitly (the same split the
-# single-writer checker's THREAD_CLOSURES makes; the control plane —
-# drain/shutdown — is deliberately NOT budgeted, it runs per session,
-# not per op).
-PIPELINE_ROOTS = [
-    "NotifierPipeline::transform_loop",
-    "NotifierPipeline::on_broadcast",
-    "NotifierPipeline::egress_loop",
-]
-
-BUDGET_ROOTS = HOT_PATH_ROOTS + PIPELINE_ROOTS
+from check_single_writer import hot_path_roots
 
 DOC_REL = "docs/HOTPATH.md"
 
@@ -69,19 +54,19 @@ HEADER = """\
 # HOTPATH.md — allocation & complexity budget (generated)
 
 Generated by `python3 tools/ccvc_sa --emit-hotpath`.  **Do not edit by
-hand** — CI step 14 regenerates it and fails on any byte difference
-(`hot-path-budget` checker), so the budget can only change in a PR
-that shows the diff.
+hand** — `ccvc_sa --check` (CI step 11, ctest label `sa`) fails on
+any byte difference (`hot-path-budget` checker), so the budget can only
+change in a PR that shows the diff.
 
 Each row is one allocation site or site-count-sized loop inside the
-type-refined call closure of the delivery hot path (the roots listed
-in docs/CONCURRENCY.md plus the pipeline's worker-thread loops, which
-std::thread hides from the static call graph).  The ROADMAP's
+type-refined call closure of the delivery hot path: the simulator's
+delivery roots plus the pipeline's per-op thread closures, both listed
+once in tools/ccvc_sa/check_single_writer.py.  The ROADMAP's
 million-site scale driver wants this table empty of `alloc` rows on
-the per-op path; rows that are
-deliberate (amortized growth into reserved capacity, O(sites) fan-out
-that *is* the broadcast's job) carry an inline `ccvc-sa: allow` pragma
-or a baseline entry with rationale — see tools/ccvc_sa/baseline.txt.
+the per-op path; rows that are deliberate (amortized growth into
+reserved capacity, O(sites) fan-out that *is* the broadcast's job)
+carry an inline `ccvc-sa: allow` pragma or a baseline entry with
+rationale — see tools/ccvc_sa/baseline.txt.
 
 | file | function | kind | what |
 |---|---|---|---|
@@ -151,7 +136,7 @@ def scan_func(fn: Func) -> list[tuple[str, str, int]]:
 
 
 def collect(model: Model) -> list[tuple[Func, str, str, int]]:
-    closure = model.reachable_typed(BUDGET_ROOTS)
+    closure = model.reachable_typed(hot_path_roots())
     rows: list[tuple[Func, str, str, int]] = []
     for fn in model.funcs:
         if fn.qual not in closure:
@@ -184,17 +169,5 @@ def check_hot_path(model: Model, ctx: Context) -> list[Finding]:
             f"hot-path {('allocation' if kind == 'alloc' else 'O(sites) loop')}"
             f" in {fn.qual}(): {what} — fix, pragma with a why, or baseline "
             f"with rationale (budget tracked in docs/HOTPATH.md)"))
-
-    expected = emit_hotpath(model)
-    doc = pathlib.Path(ctx.root) / DOC_REL
-    if not doc.is_file():
-        findings.append(Finding(
-            "hot-path-budget", DOC_REL, 1, "missing",
-            f"{DOC_REL} not found — generate it with "
-            f"`python3 tools/ccvc_sa --emit-hotpath`"))
-    elif doc.read_text(encoding="utf-8") != expected:
-        findings.append(Finding(
-            "hot-path-budget", DOC_REL, 1, "drift",
-            f"{DOC_REL} does not match the code (byte-identical check) — "
-            f"regenerate with `python3 tools/ccvc_sa --emit-hotpath`"))
-    return findings
+    return findings + drift_gate("hot-path-budget", ctx, DOC_REL,
+                                 emit_hotpath(model), "--emit-hotpath")

@@ -1,5 +1,5 @@
-"""single-writer — per-thread ownership discipline for the threaded
-runtime (src/runtime/ + src/util/metrics).
+"""single-writer — per-thread ownership of every piece of mutable state
+the threaded runtime or the per-op delivery path can write.
 
 The pipeline's safety story (docs/THREADING.md §2) is a discipline, not
 a lock table: state is either confined to exactly one thread, published
@@ -7,10 +7,14 @@ through a ring, a lock-free atomic, or behind a mutex.  TSan can only
 witness the interleavings the tests happen to drive; this checker
 proves the discipline over *all* paths the static model sees.
 
-Thread closures are derived from the pipeline's thread entry points
-(THREAD_CLOSURES below) with the type-refined call graph
-(Model.reachable_typed), then every mutable member/global/local-static
-declared in the scope files must satisfy one of:
+The entry points come from ONE table, read by this checker,
+hot-path-budget and blocking-graph alike: THREAD_CLOSURES (the
+pipeline's four thread closures) plus DELIVERY_ROOTS (the simulator's
+per-op receive sides).  Closures are expanded with the type-refined
+call graph (Model.reachable_typed).  Three rules:
+
+1. Members of classes in the scope files (src/runtime/ +
+   src/util/metrics) must satisfy one of:
 
   atomic         declared std::atomic — ordering is the atomics-order
                  checker's problem, ownership is solved;
@@ -28,10 +32,18 @@ declared in the scope files must satisfy one of:
                  a plain write reachable from it alone is already a
                  race).
 
-Separately, the transform stage's exclusivity over the engine state is
-pinned: `NotifierSite::apply_uplink` (GOT queues, SV clocks, document)
-must be reachable from NO closure but the transform thread's — the
-paper's center-serializes argument carried into the implementation.
+2. A mutable global or function-local static anywhere under src/ that a
+   function in a hot-path closure (the four thread closures or the
+   delivery closure) writes must be atomic, a sync primitive,
+   ring-owned or mutex-guarded.  One instance serves every thread and
+   every pipeline, so single-closure confinement never applies; a
+   global written only outside every closure (a test or CLI knob read
+   on the hot path) passes.
+
+3. The transform stage's exclusivity over the engine state is pinned:
+   `NotifierSite::apply_uplink` (GOT queues, SV clocks, document) must
+   be reachable from NO closure but the transform thread's — the
+   paper's center-serializes argument carried into the implementation.
 """
 
 from __future__ import annotations
@@ -39,7 +51,8 @@ from __future__ import annotations
 from sa_engine import Context, Finding, checker
 from sa_model import Func, Model, Var
 
-# Scope: the threaded runtime and the thread-shared metrics registry.
+# Scope of the member audit: the threaded runtime and the thread-shared
+# metrics registry.
 SCOPE_PREFIXES = ("src/runtime/", "src/util/metrics")
 
 # Files whose state is the ring implementation itself: ownership is the
@@ -51,9 +64,9 @@ RING_FILES = ("src/runtime/bounded_ring.hpp",)
 # closures executed by several threads at once: a plain write reachable
 # from such a closure is a race even with no second closure involved.
 # Entry points are seeded explicitly where std::function/std::thread
-# boundaries break the static call graph (same idiom as the shared-state
-# checker's HOT_PATH_ROOTS); `on_broadcast` runs on the transform thread
-# inside apply_uplink's broadcast callback (docs/THREADING.md §2).
+# boundaries break the static call graph; `on_broadcast` runs on the
+# transform thread inside apply_uplink's broadcast callback
+# (docs/THREADING.md §2).  A new stage registers here and nowhere else.
 THREAD_CLOSURES: dict[str, tuple[list[str], bool]] = {
     "producer": (["NotifierPipeline::submit"], True),
     "transform": (["NotifierPipeline::transform_loop",
@@ -65,6 +78,25 @@ THREAD_CLOSURES: dict[str, tuple[list[str], bool]] = {
     "control": (["NotifierPipeline::drain", "NotifierPipeline::shutdown",
                  "run_threaded_star"], False),
 }
+
+# The simulator's per-op entry points: send_ is a std::function at every
+# hop, so each hop's receive side is seeded explicitly.
+DELIVERY_ROOTS = [
+    "NotifierSite::on_client_message",
+    "ClientSite::on_center_message",
+    "ReliableLink::send",
+    "ReliableLink::on_frame",
+    "Channel::send",
+]
+
+
+def hot_path_roots() -> list[str]:
+    """Per-op entry points: the delivery roots plus every thread
+    closure's but the control plane's (drain/shutdown run per session,
+    not per op)."""
+    return DELIVERY_ROOTS + [r for name, (roots, _) in THREAD_CLOSURES.items()
+                             if name != "control" for r in roots]
+
 
 # Engine state that must stay exclusive to the transform closure.
 TRANSFORM_ONLY = ["NotifierSite::apply_uplink"]
@@ -162,8 +194,7 @@ def check_single_writer(model: Model, ctx: Context) -> list[Finding]:
     del ctx
     findings: list[Finding] = []
     closures = closure_map(model)
-    writes_cache = {fn.qual: writes_in(fn) for fn in model.funcs
-                    if in_scope(fn.file)}
+    writes_cache = {fn.qual: writes_in(fn) for fn in model.funcs}
 
     def writer_closures(writers: list[Func]) -> tuple[set[str], set[str]]:
         """(closure names covering the writers, writers outside all)."""
@@ -177,27 +208,20 @@ def check_single_writer(model: Model, ctx: Context) -> list[Finding]:
                 stray.add(fn.qual)
         return names, stray
 
-    def audit(v: Var, owner_cls: str | None) -> None:
-        decl_kind = classify_decl(v)
-        if decl_kind is not None:
+    def audit_member(v: Var, cls: str) -> None:
+        if classify_decl(v) is not None:
             return
-        writers = []
-        for fn in model.funcs:
-            if not in_scope(fn.file):
-                continue
-            if owner_cls is not None and fn.cls != owner_cls:
-                continue
-            if fn.cls is not None and (fn.name == fn.cls
-                                       or fn.name.startswith("~")):
-                continue  # ctor/dtor: happens-before start / after join
-            if v.name in writes_cache.get(fn.qual, ()):
-                writers.append(fn)
+        writers = [fn for fn in model.funcs
+                   if in_scope(fn.file) and fn.cls == cls
+                   # ctor/dtor: happens-before start / after join
+                   and fn.name != fn.cls and not fn.name.startswith("~")
+                   and v.name in writes_cache[fn.qual]]
         if not writers:
             return  # init-only (constructor / aggregate init)
         if all(_locks(fn) for fn in writers):
             return  # mutex-guarded
         names, stray = writer_closures(writers)
-        what = f"{v.owner + '::' if v.owner else ''}{v.name}"
+        what = f"{v.owner}::{v.name}"
         if stray and names:
             findings.append(Finding(
                 "single-writer", v.file, v.line,
@@ -224,18 +248,36 @@ def check_single_writer(model: Model, ctx: Context) -> list[Finding]:
                 f"closure, which multiple threads execute at once — a "
                 f"plain write there is already a race"))
 
-    for v in model.globals:
-        if in_scope(v.file) and not v.is_const:
-            audit(v, owner_cls=None)
-    for v in model.local_statics:
-        if in_scope(v.file) and not v.is_const:
-            audit(v, owner_cls=None)
     for ci in model.classes.values():
-        if not in_scope(ci.file):
+        if in_scope(ci.file):
+            for m in ci.members:
+                if m.kind == "member" and not m.is_const:
+                    audit_member(m, ci.name)
+
+    # Globals and function-local statics: one instance per process, so
+    # any hot-path writer needs a mechanism, not a closure argument.
+    hot = dict(closures, delivery=model.reachable_typed(DELIVERY_ROOTS))
+    for v in model.globals + model.local_statics:
+        if v.is_const or classify_decl(v) is not None:
             continue
-        for m in ci.members:
-            if m.kind == "member" and not m.is_const:
-                audit(m, owner_cls=ci.name)
+        # A local static is only nameable inside its owning function.
+        writers = [fn for fn in model.funcs
+                   if (v.kind == "global" or fn.qual == v.owner)
+                   and v.name in writes_cache[fn.qual]]
+        hot_writers = sorted({fn.qual for fn in writers
+                              for qs in hot.values() if fn.qual in qs})
+        if not hot_writers or all(_locks(fn) for fn in writers):
+            continue
+        what = f"{v.owner + '::' if v.owner else ''}{v.name}"
+        names = sorted(c for c, qs in hot.items()
+                       if any(q in qs for q in hot_writers))
+        findings.append(Finding(
+            "single-writer", v.file, v.line,
+            f"hot-global:{what}",
+            f"`{what}` is a mutable {v.kind.replace('-', ' ')} written "
+            f"on the hot path by {', '.join(hot_writers)} "
+            f"({', '.join(names)}) — one instance serves every thread; "
+            f"make it atomic, lock every writer, or give it an owner"))
 
     # Transform exclusivity: the engine's stateful entry must be
     # invisible to every other pipeline closure.

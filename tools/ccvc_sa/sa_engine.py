@@ -44,6 +44,28 @@ class Context:
 CHECKERS: list[tuple[str, object]] = []
 
 
+def drift_gate(checker_name: str, ctx: Context, rel: str, expected: str,
+               emit_flag: str) -> list[Finding]:
+    """The byte-identical gate every generated doc sits behind: a
+    `missing` finding if `rel` is absent, a `drift` finding at the first
+    differing line if it does not match `expected`."""
+    regen = f"`python3 tools/ccvc_sa {emit_flag} > {rel}`"
+    path = ctx.root / rel
+    if not path.is_file():
+        return [Finding(checker_name, rel, 1, "missing",
+                        f"{rel} not found — generate it with {regen}")]
+    actual = path.read_text(encoding="utf-8")
+    if actual == expected:
+        return []
+    act, exp = actual.splitlines(), expected.splitlines()
+    line = next((i for i, (a, b) in enumerate(zip(act, exp), 1) if a != b),
+                min(len(act), len(exp)) + 1)
+    return [Finding(checker_name, rel, line, "drift",
+                    f"{rel} does not match the code (byte-identical "
+                    f"check, first difference at line {line}) — "
+                    f"regenerate with {regen}")]
+
+
 def checker(name: str):
     def deco(fn):
         CHECKERS.append((name, fn))

@@ -6,9 +6,8 @@ model the checkers run on:
   * functions — qualified name, owning class, parameter names, body
     token slice, [[noreturn]]-ness;
   * a call graph — per-function callee *names* (unqualified), resolved
-    against a name index (over-approximate by design: two functions
-    sharing a name share their edges, which errs toward reachability —
-    the safe direction for a concurrency inventory);
+    against a name index (two functions sharing a name share their
+    edges; reachable_typed prunes method edges by type visibility);
   * mutable state — namespace-scope non-const variables, function-local
     statics, class data members (with const/static classification).
 
@@ -112,25 +111,6 @@ class Model:
             if f.noreturn:
                 self.noreturn_names.add(f.name)
 
-    def reachable(self, roots: list[str]) -> set[str]:
-        """Transitive closure over the call graph from root *qualified*
-        names (suffix-matched), returned as a set of qualified names."""
-        root_funcs = [f for f in self.funcs
-                      if any(f.qual == r or f.qual.endswith("::" + r)
-                             or f.name == r for r in roots)]
-        seen: set[str] = set()
-        work = list(root_funcs)
-        while work:
-            fn = work.pop()
-            if fn.qual in seen:
-                continue
-            seen.add(fn.qual)
-            for callee in fn.calls:
-                for g in self.by_name.get(callee, ()):
-                    if g.qual not in seen:
-                        work.append(g)
-        return seen
-
     def visible_types(self, fn: "Func") -> set[str]:
         """Type names plausibly in scope at `fn`'s call sites: every
         identifier in its body and parameter list, plus the identifiers
@@ -190,12 +170,14 @@ class Model:
         return summaries
 
     def reachable_typed(self, roots: list[str]) -> set[str]:
-        """Like reachable(), but a call edge to a *method* requires the
-        method's class to be type-visible at the caller (same class,
-        named in the body/params, or named in the declaration of a
-        member the body touches).  Tighter than the name-merged graph —
-        the right precision for per-thread ownership closures, where
-        `add` must not merge BatchAssembler::add with Gauge::add."""
+        """Transitive closure over the call graph from root *qualified*
+        names (suffix-matched), returned as a set of qualified names.  A
+        call edge to a *method* requires the method's class to be
+        type-visible at the caller (same class, named in the
+        body/params, or named in the declaration of a member the body
+        touches) — the right precision for per-thread ownership
+        closures, where `add` must not merge BatchAssembler::add with
+        Gauge::add."""
         root_funcs = [f for f in self.funcs
                       if any(f.qual == r or f.qual.endswith("::" + r)
                              or f.name == r for r in roots)]
