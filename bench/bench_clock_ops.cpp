@@ -13,12 +13,15 @@
 //  * Fowler–Zwaenepoel offline reconstruction — the [7]-style scalar
 //    scheme the paper's §1 rules out for on-line use; cost grows with
 //    the causal history walked per query.
+//  * ot::transform of n×n primitive lists (layer L0 of the per-op
+//    cost), pair-returning versus in-place.
 #include <benchmark/benchmark.h>
 
 #include "clocks/compressed_sv.hpp"
 #include "clocks/dependency_log.hpp"
 #include "clocks/sk_clock.hpp"
 #include "clocks/version_vector.hpp"
+#include "ot/transform.hpp"
 #include "util/rng.hpp"
 #include "util/varint.hpp"
 
@@ -150,6 +153,57 @@ void BM_FzOfflineReconstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FzOfflineReconstruct)->RangeMultiplier(4)->Range(64, 16384);
+
+/// `n` single-primitive edits from `origin`, each defined on the result
+/// of those before it, starting from a 64-character document: inserts
+/// of 1–3 characters and 1-character deletes, as a user generates them.
+ot::OpList random_prims(std::size_t n, SiteId origin, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::size_t size = 64;
+  ot::OpList out;
+  for (std::size_t i = 0; i < n; ++i) {
+    ot::OpList op;
+    if (rng.chance(0.6)) {
+      op = ot::make_insert(rng.index(size + 1),
+                           std::string(1 + rng.index(3), 'x'), origin);
+      size += op.front().text.size();
+    } else {
+      op = ot::make_delete(rng.index(size), 1, origin);
+      --size;
+    }
+    out.push_back(op.front());
+  }
+  return out;
+}
+
+void BM_TransformPair(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const ot::OpList a = random_prims(n, 1, 21);
+  const ot::OpList b = random_prims(n, 2, 22);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ot::transform(a, b));
+  }
+}
+BENCHMARK(BM_TransformPair)->Arg(1)->Arg(4)->Arg(8);
+
+void BM_TransformInPlace(benchmark::State& state) {
+  // Each iteration first restores both lists from the originals
+  // (copy-assignment into the existing buffers, so no allocation); the
+  // figure is an upper bound on the in-place transform alone.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const ot::OpList a0 = random_prims(n, 1, 21);
+  const ot::OpList b0 = random_prims(n, 2, 22);
+  ot::OpList a = a0;
+  ot::OpList b = b0;
+  for (auto _ : state) {
+    a = a0;
+    b = b0;
+    ot::transform_in_place(a, b);
+    benchmark::DoNotOptimize(a.data());
+    benchmark::DoNotOptimize(b.data());
+  }
+}
+BENCHMARK(BM_TransformInPlace)->Arg(1)->Arg(4)->Arg(8);
 
 }  // namespace
 

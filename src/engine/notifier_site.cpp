@@ -227,15 +227,17 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
     // Transform Oa against the concurrent operations, symmetrically
     // updating their bridge forms (they must end in the post-Oa context
     // for the next message from this client).  The rewritten form
-    // belongs to this queue alone: a shared entry detaches from the
-    // broadcast's copy, which the other queues keep.
+    // belongs to this queue alone: a shared entry is copied once out of
+    // the broadcast's copy, which the other queues keep, and from then on
+    // is rewritten in place.
     CCVC_METRIC_COUNT("engine.notifier.transforms", bridge.size());
     CCVC_METRIC_HIST("engine.notifier.transform_path_len", bridge.size());
     for (auto& b : bridge) {
-      auto [inc_next, b_next] = ot::transform(incoming, b.ops());
-      incoming = std::move(inc_next);
-      b.own = std::move(b_next);
-      b.shared.reset();
+      if (b.shared) {
+        b.own = *b.shared;
+        b.shared.reset();
+      }
+      ot::transform_in_place(incoming, b.own);
     }
     doc_.apply(incoming, doc::ApplyMode::kStrict);
   } else {

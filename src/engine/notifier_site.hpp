@@ -30,7 +30,8 @@
 // (CenterMsgEncoder) and writes each destination one exact-size buffer
 // with its stamp spliced in.  The bridge queues likewise share one
 // OpList per broadcast; a transform that rewrites an entry for one
-// queue detaches that entry alone (copy-on-transform).
+// queue detaches that entry alone (copy-on-transform): copied once on
+// first transform, then rewritten in place.
 #pragma once
 
 #include <deque>
@@ -174,7 +175,8 @@ class NotifierSite {
  private:
   /// BridgeEntry as queued.  Every queue a broadcast reaches shares its
   /// O' through `shared`; the first transform that rewrites the entry
-  /// for one queue detaches it into `own` (copy-on-transform).
+  /// for one queue copies it once into `own` (copy-on-transform), which
+  /// every later transform rewrites in place.
   struct QueuedOp {
     OpId id;
     std::uint64_t index;

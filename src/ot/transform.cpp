@@ -11,12 +11,76 @@ void require_decomposed(const PrimOp& op) {
                  "transformation requires deletes decomposed to 1 char");
 }
 
-PrimOp make_nop(const PrimOp& from) {
-  PrimOp nop;
-  nop.kind = OpKind::kIdentity;
-  nop.pos = from.pos;  // kept for trace readability; has no effect
-  nop.origin = from.origin;
-  return nop;
+// Whether the insert `against` moves `op` (an insert or a 1-char delete
+// defined on the same state) right.  Reads only pre-step values, so
+// include_pair evaluates both directions before rewriting either side.
+bool shifted_right_by(const PrimOp& op, const PrimOp& against) {
+  if (op.kind == OpKind::kInsert) {
+    // II: shift right iff `against` lands strictly left, or ties and
+    // wins the left slot.
+    return against.pos < op.pos ||
+           (against.pos == op.pos && insert_wins_left(against, op));
+  }
+  // DI: an insert at or left of the doomed character shifts it right.
+  // (Equal position: the insert goes *before* the character at `pos`.)
+  return against.pos <= op.pos;
+}
+
+void set_nop(PrimOp& op) {
+  // pos and origin are kept for trace readability; they have no effect.
+  op.kind = OpKind::kIdentity;
+  op.text.clear();
+  op.count = 0;
+}
+
+// The one IT rule table: rewrites, in place, `a` into the form that
+// applies after `b` and `b` into the form that applies after `a` (both
+// defined on the same state).  Allocates nothing.
+void include_pair(PrimOp& a, PrimOp& b) {
+  require_decomposed(a);
+  require_decomposed(b);
+  if (a.kind == OpKind::kIdentity || b.kind == OpKind::kIdentity) return;
+
+  const bool a_ins = a.kind == OpKind::kInsert;
+  const bool b_ins = b.kind == OpKind::kInsert;
+  if (a_ins && b_ins) {
+    // II both ways.  Both predicates read the pre-step positions; in the
+    // degenerate identical-insert tie both are true and both sides shift.
+    const bool a_shift = shifted_right_by(a, b);
+    const bool b_shift = shifted_right_by(b, a);
+    if (a_shift) a.pos += b.text.size();
+    if (b_shift) b.pos += a.text.size();
+    return;
+  }
+  if (a_ins != b_ins) {
+    // ID/DI: the insert `ins` moves one left iff the deleted character
+    // lies strictly left of it; the delete `del` moves right by the
+    // insert's length iff the insert lands at or left of it.
+    PrimOp& ins = a_ins ? a : b;
+    PrimOp& del = a_ins ? b : a;
+    const bool ins_shift = del.pos < ins.pos;
+    const bool del_shift = shifted_right_by(del, ins);
+    if (ins_shift) {
+      CCVC_DCHECK(ins.pos >= del.count);  // del.pos < ins.pos ⇒ no underflow
+      ins.pos -= del.count;
+    }
+    if (del_shift) del.pos += ins.text.size();
+    return;
+  }
+
+  // DD: both delete one character.
+  CCVC_CHECK(a.kind == OpKind::kDelete && b.kind == OpKind::kDelete);
+  if (a.pos == b.pos) {
+    // The same character was deleted concurrently — neither op has
+    // anything left to do.  Becoming Identity (rather than deleting a
+    // neighbour) is what preserves both users' intentions.
+    set_nop(a);
+    set_nop(b);
+  } else {
+    PrimOp& right = (a.pos > b.pos) ? a : b;
+    CCVC_DCHECK(right.pos >= 1);
+    right.pos -= 1;
+  }
 }
 
 }  // namespace
@@ -31,81 +95,33 @@ bool insert_wins_left(const PrimOp& a, const PrimOp& b) {
 }
 
 PrimOp include_prim(const PrimOp& op, const PrimOp& against) {
-  require_decomposed(op);
-  require_decomposed(against);
-  if (op.kind == OpKind::kIdentity || against.kind == OpKind::kIdentity) {
-    return op;
-  }
-
   PrimOp out = op;
-  const std::size_t blen = (against.kind == OpKind::kInsert)
-                               ? against.text.size()
-                               : against.count;
-
-  if (op.kind == OpKind::kInsert && against.kind == OpKind::kInsert) {
-    // II: shift right iff `against` lands strictly left, or ties and wins
-    // the left slot.
-    if (against.pos < op.pos ||
-        (against.pos == op.pos && insert_wins_left(against, op))) {
-      out.pos += blen;
-    }
-    return out;
-  }
-
-  if (op.kind == OpKind::kInsert && against.kind == OpKind::kDelete) {
-    // ID: deleting a character strictly left of the insertion point pulls
-    // it one to the left; at or right of it, no effect.
-    if (against.pos < op.pos) {
-      CCVC_DCHECK(op.pos >= blen);  // against.pos < op.pos ⇒ no underflow
-      out.pos -= blen;
-    }
-    return out;
-  }
-
-  if (op.kind == OpKind::kDelete && against.kind == OpKind::kInsert) {
-    // DI: an insert at or left of the doomed character shifts it right.
-    // (Equal position: the insert goes *before* the character at `pos`.)
-    if (against.pos <= op.pos) out.pos += blen;
-    return out;
-  }
-
-  // DD: both delete one character.
-  CCVC_CHECK(op.kind == OpKind::kDelete && against.kind == OpKind::kDelete);
-  if (against.pos < op.pos) {
-    CCVC_DCHECK(out.pos >= 1);
-    out.pos -= 1;
-  } else if (against.pos == op.pos) {
-    // The same character was deleted concurrently — this op has nothing
-    // left to do.  Becoming Identity (rather than deleting a neighbour)
-    // is what preserves both users' intentions.
-    out = make_nop(op);
-  }
+  PrimOp other = against;
+  include_pair(out, other);
   return out;
 }
 
-std::pair<OpList, OpList> transform(const OpList& a, const OpList& b) {
+void transform_in_place(OpList& a, OpList& b) {
   // The classic grid walk: fold each primitive of A through the evolving
-  // B list, updating both sides.  Invariant at inner step i: `pa` and
-  // `b_cur[i]` are defined on the same document state (A-prefix already
-  // included into b_cur[0..i), B-prefix already included into pa).
-  OpList b_cur = b;
-  OpList a_out;
-  a_out.reserve(a.size());
-  for (const PrimOp& pa_in : a) {
-    PrimOp pa = pa_in;
-    for (PrimOp& pb : b_cur) {
-      const PrimOp pa_next = include_prim(pa, pb);
-      pb = include_prim(pb, pa);
-      pa = pa_next;
+  // B list, rewriting both sides.  Invariant at inner step i: `pa` and
+  // `b[i]` are defined on the same document state (A-prefix already
+  // included into b[0..i), B-prefix already included into pa).
+  for (PrimOp& pa : a) {
+    for (PrimOp& pb : b) {
+      include_pair(pa, pb);
       // Hot-path contract (live in Debug/sanitizer presets only): the
-      // grid walk must preserve decomposition, or the next include_prim
+      // grid walk must preserve decomposition, or the next include_pair
       // silently computes with a multi-char delete.
       CCVC_DCHECK(pa.kind != OpKind::kDelete || pa.count == 1);
       CCVC_DCHECK(pb.kind != OpKind::kDelete || pb.count == 1);
     }
-    a_out.push_back(std::move(pa));
   }
-  return {std::move(a_out), std::move(b_cur)};
+}
+
+std::pair<OpList, OpList> transform(const OpList& a, const OpList& b) {
+  std::pair<OpList, OpList> out{a, b};
+  transform_in_place(out.first, out.second);
+  return out;
 }
 
 OpList include_list(const OpList& op, const OpList& against) {

@@ -5,14 +5,20 @@
 // `b` (defined on the same document state as `a`) has already been
 // executed, preserving `a`'s intention.  Because user deletes are
 // decomposed into single-character primitives (see text_op.hpp) the
-// result is always exactly one primitive — no splitting.
+// result is always exactly one primitive — no splitting — and inclusion
+// only ever moves `pos` or turns a primitive into Identity.  One pair
+// kernel (transform.cpp) holds the rule table and rewrites both
+// primitives of a pair in place; every entry point below runs it.
 //
-// transform(A, B) lifts IT to sequences symmetrically: given op lists A
-// and B defined on the same state, it returns (A', B') with
+// transform_in_place(A, B) lifts IT to sequences symmetrically: given op
+// lists A and B defined on the same state, it rewrites them into
+// (A', B') with
 //     apply(S, A) ∘ B'  ==  apply(S, B) ∘ A'      (the TP1 diamond)
 // for every document S on which A and B are defined.  This one property
 // is all the star-topology control algorithm needs for convergence; it
-// is exhaustively property-tested in tests/ot.
+// is exhaustively property-tested in tests/ot.  transform, include_list
+// and include_prim are the copying forms, for callers that must keep
+// their inputs.
 //
 // Insert–insert ties (equal position) break on (origin site, text)
 // order: concurrent operations always have distinct origin sites in the
@@ -29,8 +35,12 @@ namespace ccvc::ot {
 /// Requires decomposed deletes (count ≤ 1).
 PrimOp include_prim(const PrimOp& op, const PrimOp& against);
 
-/// Symmetric sequence transform: returns {A', B'} where A' applies after
-/// B and B' applies after A.  A and B must be defined on the same state.
+/// Symmetric sequence transform, in place: rewrites A into A' (applies
+/// after B) and B into B' (applies after A).  A and B must be defined on
+/// the same state.  Allocation-free.
+void transform_in_place(OpList& a, OpList& b);
+
+/// The copying form of transform_in_place: returns {A', B'}.
 std::pair<OpList, OpList> transform(const OpList& a, const OpList& b);
 
 /// Convenience when only the transformed `op` is needed.

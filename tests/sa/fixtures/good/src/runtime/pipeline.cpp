@@ -11,6 +11,10 @@
 //   * g_commits       global written on the hot path, but atomic;
 //   * g_verbose       plain global read on the hot path, but written
 //                     only by set_verbose(), outside every closure;
+//   * batch_.clear()  a member call on the transform path, next to a
+//                     free clear() that writes the plain global g_traced:
+//                     a member call never reaches a free function, so
+//                     g_traced stays outside every closure;
 //   * transform_loop's spins consult stop_, which shutdown() writes
 //     from another context (liveness must accept, not flag);
 //   * out_ring_       a capacity wait whose edge transform → egress is
@@ -29,6 +33,10 @@ std::atomic<std::uint64_t> g_commits{0};
 int g_verbose = 0;
 
 void set_verbose(int v) { g_verbose = v; }
+
+int g_traced = 0;
+
+void clear() { g_traced = 0; }
 
 struct Ring {
   bool try_pop(int& out);
@@ -60,6 +68,7 @@ class NotifierPipeline {
   int got_state_ = 0;
   std::vector<int> cold_;
   std::vector<int> log_;
+  std::vector<int> batch_;
 };
 
 std::uint64_t NotifierPipeline::submit(int from) {
@@ -85,7 +94,10 @@ void NotifierPipeline::transform_loop() {
   }
 }
 
-void NotifierPipeline::on_broadcast(int dest) { note_egress(dest); }
+void NotifierPipeline::on_broadcast(int dest) {
+  batch_.clear();
+  note_egress(dest);
+}
 
 void NotifierPipeline::egress_loop() {
   int item = 0;

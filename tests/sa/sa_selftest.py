@@ -11,9 +11,11 @@ through `ccvc_sa --check`:
   good/  near-miss patterns the checkers must NOT flag: a transform-
          confined plain write, a mutex-guarded two-closure write, an
          atomic global written on the hot path, a plain global written
-         only outside every closure, an allocation outside the hot-path
-         closure, a live allow() pragma on a deliberate budget hit,
-         explicit-order atomics.  Must run clean (exit 0).
+         only outside every closure, a member `.clear()` call on the
+         transform path beside a free `clear()` that writes a plain
+         global, an allocation outside the hot-path closure, a live
+         allow() pragma on a deliberate budget hit, explicit-order
+         atomics.  Must run clean (exit 0).
 
 Coverage is enforced structurally: EXPECTED_BAD below is compared
 against the checker registry (`ccvc_sa --list`), so adding a checker

@@ -67,7 +67,10 @@ class Func:
     line: int
     noreturn: bool = False
     sig: list[str] = field(default_factory=list)  # id texts in param list
-    calls: set[str] = field(default_factory=set)  # unqualified callee names
+    # Unqualified callee names.  A call written `x.f(...)` or `p->f(...)`
+    # is recorded as ".f": it can only reach a method, never a free
+    # function that happens to share the name.
+    calls: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -127,20 +130,30 @@ class Model:
                     vis.update(IDENT_SCAN_RE.findall(m.decl))
         return vis
 
+    def _typed_callee_funcs(self, fn: "Func", calls: set[str],
+                            vis: set[str]):
+        """The type-visibility filter behind typed_callees and
+        reachable_typed: a free function is admitted only through a
+        non-member call, a method only when its class is visible at the
+        caller."""
+        for callee in calls:
+            member = callee.startswith(".")
+            for g in self.by_name.get(callee.lstrip("."), ()):
+                if g.cls is None:
+                    if not member:
+                        yield g
+                elif g.cls == fn.cls or g.cls in vis:
+                    yield g
+
     def typed_callees(self, fn: "Func",
                       calls: set[str] | None = None) -> set[str]:
         """Qualified names of `fn`'s callees under the type-visibility
-        filter reachable_typed uses (free functions always; methods only
-        when their class is visible at the caller).  `calls` overrides
-        fn.calls — used where a caller's lambda bodies are attributed to
-        other threads and must not contribute edges."""
-        vis = self.visible_types(fn)
-        out: set[str] = set()
-        for callee in (fn.calls if calls is None else calls):
-            for g in self.by_name.get(callee, ()):
-                if g.cls is None or g.cls == fn.cls or g.cls in vis:
-                    out.add(g.qual)
-        return out
+        filter reachable_typed uses.  `calls` overrides fn.calls — used
+        where a caller's lambda bodies are attributed to other threads
+        and must not contribute edges."""
+        return {g.qual for g in self._typed_callee_funcs(
+            fn, fn.calls if calls is None else calls,
+            self.visible_types(fn))}
 
     def propagate_summaries(
             self, direct: dict[str, frozenset]) -> dict[str, set]:
@@ -177,28 +190,20 @@ class Model:
         body/params, or named in the declaration of a member the body
         touches) — the right precision for per-thread ownership
         closures, where `add` must not merge BatchAssembler::add with
-        Gauge::add."""
+        Gauge::add.  A member call (`v.clear()`) never reaches a free
+        function of the same name."""
         root_funcs = [f for f in self.funcs
                       if any(f.qual == r or f.qual.endswith("::" + r)
                              or f.name == r for r in roots)]
         seen: set[str] = set()
         work = list(root_funcs)
-        vis_cache: dict[str, set[str]] = {}
         while work:
             fn = work.pop()
             if fn.qual in seen:
                 continue
             seen.add(fn.qual)
-            vis = vis_cache.get(fn.qual)
-            if vis is None:
-                vis = self.visible_types(fn)
-                vis_cache[fn.qual] = vis
-            for callee in fn.calls:
-                for g in self.by_name.get(callee, ()):
-                    if g.qual in seen:
-                        continue
-                    if g.cls is None or g.cls == fn.cls or g.cls in vis:
-                        work.append(g)
+            work.extend(g for g in self._typed_callee_funcs(
+                fn, fn.calls, self.visible_types(fn)) if g.qual not in seen)
         return seen
 
 
@@ -285,12 +290,14 @@ def _strip_template(head: list[Tok]) -> list[Tok]:
 
 
 def _extract_calls(body: list[Tok]) -> set[str]:
+    """Callee names in `body`, member calls marked (see Func.calls)."""
     calls: set[str] = set()
     for i, t in enumerate(body):
         if t.kind != "id" or t.text in NON_CALL:
             continue
         if i + 1 < len(body) and body[i + 1].text == "(":
-            calls.add(t.text)
+            member = i > 0 and body[i - 1].text in (".", "->")
+            calls.add("." + t.text if member else t.text)
         if t.text in MACRO_CALLS:
             calls.update(MACRO_CALLS[t.text])
     return calls
