@@ -5,6 +5,8 @@
 // Plus: got_transform on the same suffix depths — the GOT reference's
 // exclude/re-include chain is quadratic in the causal interleaving,
 // another reason the IT-only bridge control is the production path.
+// Plus: BM_BroadcastFanout, the per-destination cost of one broadcast
+// (eq. (1)-(2)) through each of the notifier's two receivers.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,6 +16,7 @@
 #include "engine/got.hpp"
 #include "engine/notifier_site.hpp"
 #include "ot/text_op.hpp"
+#include "runtime/batch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -122,6 +125,62 @@ void BM_ClientReceivePath(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ClientReceivePath)->Arg(0)->Arg(4)->Arg(16);
+
+void BM_BroadcastFanout(benchmark::State& state) {
+  // One broadcast to N-1 destinations per iteration, reported as time
+  // per destination (per_dest: the whole apply_uplink, parse included,
+  // over its N-1 destinations).  frame=0 hands each destination a
+  // stamped buffer through the SendFn adapter (the simulator's and the
+  // serial replay's path); frame=1 writes it straight into that
+  // destination's open 0xC5 frame, flushed every 16 messages (the
+  // threaded pipeline's path, without its threads).  Senders take turns
+  // and are always caught up, so no transforms run and every bridge
+  // queue is acked down once per round; inserts and deletes alternate,
+  // so the document keeps its size.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool frame = state.range(1) != 0;
+  engine::EngineConfig cfg;
+  cfg.log_verdicts = false;
+  cfg.check_fidelity = false;
+  cfg.gc_history = true;
+  std::vector<runtime::BatchAssembler> assemblers;
+  for (std::size_t i = 0; i <= n; ++i) assemblers.emplace_back(16);
+  std::unique_ptr<engine::NotifierSite> site;
+  if (frame) {
+    site = std::make_unique<engine::NotifierSite>(
+        n, std::string(256, 'x'), cfg,
+        [&](SiteId dest, const engine::CenterMsgEncoder& msg,
+            const engine::Stamp& stamp) {
+          if (assemblers[dest].add(msg, stamp, cfg.stamp_mode)) {
+            benchmark::DoNotOptimize(assemblers[dest].flush());
+          }
+        });
+  } else {
+    site = std::make_unique<engine::NotifierSite>(
+        n, std::string(256, 'x'), cfg, [](SiteId, net::Payload bytes) {
+          benchmark::DoNotOptimize(bytes.data());
+        });
+  }
+  std::uint64_t issued = 0;
+  for (auto _ : state) {
+    const auto from = static_cast<SiteId>(1 + issued % n);
+    const SeqNo seq = issued / n + 1;
+    engine::ClientMsg msg;
+    msg.id = OpId{from, seq};
+    msg.ops = issued % 2 == 0 ? ot::make_insert(0, "ab", from)
+                              : ot::make_delete(0, 2, from);
+    msg.stamp.csv = clocks::CompressedSv{issued - (seq - 1), seq};
+    site->on_client_message(from,
+                            encode(msg, engine::StampMode::kCompressed));
+    ++issued;
+  }
+  state.counters["per_dest"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(n - 1),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BroadcastFanout)
+    ->ArgsProduct({{16, 64, 256}, {0, 1}})
+    ->ArgNames({"N", "frame"});
 
 void BM_GotTransformSuffix(benchmark::State& state) {
   // A suffix of `depth` entries alternating concurrent/causal — the

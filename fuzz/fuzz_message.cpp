@@ -4,14 +4,21 @@
 // Malformed input must be rejected by DecodeError or ContractViolation;
 // accepted input must re-encode deterministically: one decode→encode
 // pass normalizes the op list (coalesce/decompose), after which
-// decode→encode is a byte-identical fixed point.
+// decode→encode is a byte-identical fixed point.  An accepted center
+// message written straight into a 0xC5 frame (CenterMsgEncoder +
+// BatchFrame, the notifier pipeline's path) must equal the reference
+// encode_batch over its encoded bytes, with the header written into
+// its room directly and after the count-varint shift alike.
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "engine/message.hpp"
 #include "fuzz_common.hpp"
 #include "util/check.hpp"
 #include "util/varint.hpp"
+#include "wire/schema.hpp"
 
 using ccvc::ContractViolation;
 using ccvc::engine::CenterMsg;
@@ -65,6 +72,15 @@ void fuzz_center(const ccvc::net::Payload& bytes) {
     CCVC_FUZZ_REQUIRE(msg2.id == msg.id);
     CCVC_FUZZ_REQUIRE(ccvc::ot::size_delta(msg2.ops) ==
                       ccvc::ot::size_delta(msg.ops));
+
+    const ccvc::net::Payload reference = ccvc::engine::encode_batch({pass1});
+    const ccvc::engine::CenterMsgEncoder encoder(msg.id, msg.ops);
+    for (const std::size_t max_msgs : {std::size_t{1},
+                                       ccvc::wire::kMaxBatchMsgs}) {
+      ccvc::engine::BatchFrame frame(max_msgs, 0);
+      frame.add(encoder, msg.stamp, mode);
+      CCVC_FUZZ_REQUIRE(std::move(frame).close() == reference);
+    }
   }
 }
 

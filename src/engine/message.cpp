@@ -114,14 +114,22 @@ CenterMsgEncoder::CenterMsgEncoder(const OpId& id, const ot::OpList& ops) {
 
 net::Payload CenterMsgEncoder::stamped(const Stamp& stamp,
                                        StampMode mode) const {
-  const std::size_t size = head_and_body_.size() + stamp_wire_size(stamp, mode);
-  util::ByteSink sink(size);
+  util::ByteSink sink(stamped_size(stamp, mode));
+  put_stamped(sink, stamp, mode);
+  return std::move(sink).take();
+}
+
+std::size_t CenterMsgEncoder::stamped_size(const Stamp& stamp,
+                                           StampMode mode) const {
+  return head_and_body_.size() + stamp_wire_size(stamp, mode);
+}
+
+void CenterMsgEncoder::put_stamped(util::ByteSink& sink, const Stamp& stamp,
+                                   StampMode mode) const {
   sink.put_raw(head_and_body_.data(), head_size_);
   encode_stamp(stamp, mode, sink);
   sink.put_raw(head_and_body_.data() + head_size_,
                head_and_body_.size() - head_size_);
-  CCVC_DCHECK(sink.size() == size);
-  return std::move(sink).take();
 }
 
 ClientMsg decode_client_msg(const net::Payload& bytes, StampMode mode) {
@@ -183,21 +191,47 @@ SiteId decode_leave(const net::Payload& bytes) {
   return site;
 }
 
+BatchFrame::BatchFrame(std::size_t max_msgs, std::size_t reserve)
+    : max_msgs_(max_msgs), sink_(reserve) {
+  CCVC_CHECK_MSG(max_msgs >= 1,
+                 "an egress batch carries at least one message");
+  wire::Writer(sink_).counted_head_room(wire::f::kBatchMsgs, max_msgs);
+}
+
+void BatchFrame::add(const net::Payload& msg) {
+  CCVC_CHECK_MSG(count_ < max_msgs_, "batch frame is full");
+  CCVC_CHECK_MSG(!msg.empty(), "batched messages are never empty");
+  wire::Writer(sink_).blob(wire::f::kBatchPayload, msg.data(), msg.size());
+  ++count_;
+}
+
+void BatchFrame::add(const CenterMsgEncoder& msg, const Stamp& stamp,
+                     StampMode mode) {
+  CCVC_CHECK_MSG(count_ < max_msgs_, "batch frame is full");
+  const std::size_t size = msg.stamped_size(stamp, mode);
+  wire::Writer(sink_).blob_head(wire::f::kBatchPayload, size);
+  const std::size_t start = sink_.size();
+  msg.put_stamped(sink_, stamp, mode);
+  CCVC_DCHECK(sink_.size() - start == size);
+  (void)start;
+  ++count_;
+}
+
+net::Payload BatchFrame::close() && {
+  CCVC_CHECK_MSG(count_ >= 1, "an egress batch carries at least one message");
+  net::Payload frame = std::move(sink_).take();
+  wire::finish_counted_head(frame, wire::kEgressBatch, max_msgs_, count_);
+  return frame;
+}
+
 net::Payload encode_batch(const std::vector<net::Payload>& msgs) {
-  CCVC_CHECK_MSG(!msgs.empty(), "an egress batch carries at least one message");
   std::size_t size = 1 + util::uvarint_size(msgs.size());
   for (const net::Payload& m : msgs) {
     size += util::uvarint_size(m.size()) + m.size();
   }
-  util::ByteSink sink(size);
-  wire::Writer w(sink);
-  w.tag(wire::kEgressBatch);
-  w.count(wire::f::kBatchMsgs, msgs.size());
-  for (const net::Payload& m : msgs) {
-    CCVC_CHECK_MSG(!m.empty(), "batched messages are never empty");
-    w.blob(wire::f::kBatchPayload, m.data(), m.size());
-  }
-  return std::move(sink).take();
+  BatchFrame frame(msgs.size(), size);
+  for (const net::Payload& m : msgs) frame.add(m);
+  return std::move(frame).close();
 }
 
 bool is_batch_msg(const net::Payload& bytes) {

@@ -25,6 +25,7 @@
 #include "net/channel.hpp"
 #include "ot/text_op.hpp"
 #include "util/types.hpp"
+#include "util/varint.hpp"
 
 namespace ccvc::engine {
 
@@ -60,13 +61,20 @@ net::Payload encode(const CenterMsg& msg, StampMode mode);
 /// One CenterMsg broadcast, encoded once: the head (tag + OpId) and the
 /// coalesced op body are the same bytes for every destination, so a
 /// destination's message is those bytes with its stamp spliced between
-/// them, written into one exact-size buffer.
+/// them.
 /// stamped(s, mode) == encode(CenterMsg{id, ops, s}, mode), byte for byte.
 class CenterMsgEncoder {
  public:
   CenterMsgEncoder(const OpId& id, const ot::OpList& ops);
 
+  /// The stamped message in one exact-size buffer.
   net::Payload stamped(const Stamp& stamp, StampMode mode) const;
+
+  /// stamped()'s size and bytes, appended to `sink` with no buffer of
+  /// their own.
+  std::size_t stamped_size(const Stamp& stamp, StampMode mode) const;
+  void put_stamped(util::ByteSink& sink, const Stamp& stamp,
+                   StampMode mode) const;
 
  private:
   net::Payload head_and_body_;
@@ -89,11 +97,45 @@ bool is_leave_msg(const net::Payload& bytes);
 /// Decodes a leave message, returning the departing site.
 SiteId decode_leave(const net::Payload& bytes);
 
+/// The 0xC5 EgressBatch frame writer (docs/PROTOCOL.md §2.8) — the only
+/// code that emits 0xC5 bytes: encode_batch and the threaded runtime's
+/// per-destination BatchAssembler both write through it.  A frame is
+/// written in place, in one buffer: it opens with room for the tag and
+/// the largest count, each entry is appended as it arrives, and close()
+/// writes the header into that room.
+class BatchFrame {
+ public:
+  /// Opens a frame for at most `max_msgs` (in [1, wire::kMaxBatchMsgs])
+  /// entries, with capacity for `reserve` bytes.
+  BatchFrame(std::size_t max_msgs, std::size_t reserve);
+
+  /// Appends one complete, non-empty downlink message (its §2 tag byte
+  /// included) as the next entry.
+  void add(const net::Payload& msg);
+
+  /// Appends `msg` stamped with `stamp` as the next entry: the bytes of
+  /// add(msg.stamped(stamp, mode)), with no message buffer in between.
+  void add(const CenterMsgEncoder& msg, const Stamp& stamp, StampMode mode);
+
+  /// Entries appended so far.
+  std::size_t size() const { return count_; }
+  /// Bytes written so far, the header's room included.
+  std::size_t bytes() const { return sink_.size(); }
+
+  /// Writes the header for the entries appended (at least one) and
+  /// returns the frame; the writer is spent.
+  net::Payload close() &&;
+
+ private:
+  std::size_t max_msgs_;
+  std::size_t count_ = 0;
+  util::ByteSink sink_;
+};
+
 /// Coalesces complete downlink messages (each with its own §2 tag byte)
-/// into one 0xC5 EgressBatch frame for a single destination — the
-/// threaded runtime's batched egress (docs/PROTOCOL.md §2.8,
-/// docs/THREADING.md).  `msgs` must be non-empty, each payload
-/// non-empty, and at most wire::kMaxBatchMsgs entries.
+/// into one 0xC5 EgressBatch frame for a single destination.  `msgs`
+/// must be non-empty, each payload non-empty, and at most
+/// wire::kMaxBatchMsgs entries.
 net::Payload encode_batch(const std::vector<net::Payload>& msgs);
 
 /// True if `bytes` is an egress batch frame (check before decoding the

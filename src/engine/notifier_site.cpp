@@ -10,11 +10,11 @@
 namespace ccvc::engine {
 
 NotifierSite::NotifierSite(std::size_t num_sites, std::string_view initial_doc,
-                           const EngineConfig& cfg, SendFn send_to_client,
+                           const EngineConfig& cfg, BroadcastFn broadcast,
                            EngineObserver* observer)
     : num_sites_(num_sites),
       cfg_(cfg),
-      send_(std::move(send_to_client)),
+      broadcast_(std::move(broadcast)),
       observer_(observer),
       doc_(initial_doc),
       clock_(num_sites),
@@ -23,7 +23,24 @@ NotifierSite::NotifierSite(std::size_t num_sites, std::string_view initial_doc,
       enqueued_(num_sites + 1, 0),
       acked_(num_sites + 1, 0),
       active_(num_sites + 1, true) {
-  CCVC_CHECK(static_cast<bool>(send_));
+  CCVC_CHECK(static_cast<bool>(broadcast_));
+}
+
+NotifierSite::NotifierSite(std::size_t num_sites, std::string_view initial_doc,
+                           const EngineConfig& cfg, SendFn send_to_client,
+                           EngineObserver* observer)
+    : NotifierSite(num_sites, initial_doc, cfg,
+                   stamp_and_send(std::move(send_to_client), cfg.stamp_mode),
+                   observer) {}
+
+NotifierSite::BroadcastFn NotifierSite::stamp_and_send(SendFn send,
+                                                       StampMode mode) {
+  CCVC_CHECK(static_cast<bool>(send));
+  return [send = std::move(send), mode](SiteId dest,
+                                        const CenterMsgEncoder& msg,
+                                        const Stamp& stamp) {
+    send(dest, msg.stamped(stamp, mode));
+  };
 }
 
 NotifierSite::State NotifierSite::state() const {
@@ -52,7 +69,7 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
                            SendFn send_to_client, EngineObserver* observer)
     : num_sites_(state.num_sites),
       cfg_(cfg),
-      send_(std::move(send_to_client)),
+      broadcast_(stamp_and_send(std::move(send_to_client), cfg.stamp_mode)),
       observer_(observer),
       doc_(state.document),
       clock_(state.sv0),
@@ -62,7 +79,6 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
       acked_(state.acked),
       active_(state.active),
       hb_collected_(state.hb_collected) {
-  CCVC_CHECK(static_cast<bool>(send_));
   CCVC_CHECK(state.outgoing.size() == num_sites_ + 1);
   outgoing_.reserve(state.outgoing.size());
   for (const auto& q : state.outgoing) {
@@ -260,12 +276,14 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
 
   // Broadcast O' to every other (active) client, stamped per
   // destination with eq. (1)-(2) — the only per-destination part, so
-  // the op is encoded once and its bridge copy is shared.
+  // the op is encoded once and its bridge copy is shared.  Stamp sizes
+  // are tallied in plain integers and recorded once per broadcast.
   const CenterMsgEncoder center_msg(msg.id, incoming);
   std::shared_ptr<const ot::OpList> bridge_op;
   if (cfg_.transform) {
     bridge_op = std::make_shared<const ot::OpList>(std::move(incoming));
   }
+  CCVC_METRIC_TALLY(stamp_sizes, "engine.wire.stamp_bytes");
   Stamp stamp;
   stamp.full = vc_;  // empty in compressed mode
   std::uint64_t sends = 0;
@@ -282,14 +300,16 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
     // Σ_{j≠dest} SV_0[j].
     CCVC_CHECK(stamp.csv.from_center == enqueued_[dest]);
     const std::size_t stamp_bytes = stamp_wire_size(stamp, cfg_.stamp_mode);
-    net::Payload out_bytes = center_msg.stamped(stamp, cfg_.stamp_mode);
-    CCVC_METRIC_HIST("engine.wire.stamp_bytes", stamp_bytes);
+    stamp_sizes.add(stamp_bytes);
     if (observer_) {
-      observer_->on_wire(kNotifierSite, dest, out_bytes.size(), stamp_bytes);
+      observer_->on_wire(kNotifierSite, dest,
+                         center_msg.stamped_size(stamp, cfg_.stamp_mode),
+                         stamp_bytes);
     }
-    send_(dest, std::move(out_bytes));
+    broadcast_(dest, center_msg, stamp);
     ++sends;
   }
+  stamp_sizes.record();
   if (sends > 0) CCVC_METRIC_COUNT("engine.notifier.broadcasts", sends);
 
   if (cfg_.gc_history) gc_history();

@@ -27,8 +27,11 @@
 // Fan-out is encode-once, stamp-per-destination: by eq. (1)-(2) the N-1
 // copies of one re-broadcast O' differ only in their 2-integer stamp, so
 // apply_uplink encodes the CenterMsg head and op body once
-// (CenterMsgEncoder) and writes each destination one exact-size buffer
-// with its stamp spliced in.  The bridge queues likewise share one
+// (CenterMsgEncoder) and hands each destination that encoder and its
+// stamp (BroadcastFn); nothing is materialized per destination unless
+// the receiver asks for it — the SendFn adapter stamps one exact-size
+// buffer, the threaded runtime writes straight into the destination's
+// 0xC5 frame.  The bridge queues likewise share one
 // OpList per broadcast; a transform that rewrites an entry for one
 // queue detaches that entry alone (copy-on-transform): copied once on
 // first transform, then rewritten in place.
@@ -56,6 +59,19 @@ class NotifierSite {
   /// Sends an encoded message toward client `dest`.
   using SendFn = std::function<void(SiteId dest, net::Payload bytes)>;
 
+  /// Receives one destination's copy of a broadcast without it being
+  /// materialized: the once-encoded O' and the destination's eq. (1)-(2)
+  /// stamp.  msg.stamped(stamp, cfg.stamp_mode) is the message a SendFn
+  /// would be handed.
+  using BroadcastFn = std::function<void(
+      SiteId dest, const CenterMsgEncoder& msg, const Stamp& stamp)>;
+
+  NotifierSite(std::size_t num_sites, std::string_view initial_doc,
+               const EngineConfig& cfg, BroadcastFn broadcast,
+               EngineObserver* observer = nullptr);
+
+  /// The SendFn form: each destination's message is stamped into its
+  /// own buffer and passed to `send_to_client`.
   NotifierSite(std::size_t num_sites, std::string_view initial_doc,
                const EngineConfig& cfg, SendFn send_to_client,
                EngineObserver* observer = nullptr);
@@ -186,9 +202,12 @@ class NotifierSite {
     const ot::OpList& ops() const { return shared ? *shared : own; }
   };
 
+  /// The SendFn constructors' adapter onto BroadcastFn.
+  static BroadcastFn stamp_and_send(SendFn send, StampMode mode);
+
   std::size_t num_sites_;
   EngineConfig cfg_;
-  SendFn send_;
+  BroadcastFn broadcast_;
   EngineObserver* observer_;
 
   doc::Document doc_;

@@ -4,34 +4,30 @@
 
 #include "util/check.hpp"
 #include "util/metrics.hpp"
-#include "wire/schema.hpp"
 
 namespace ccvc::runtime {
 
 BatchAssembler::BatchAssembler(std::size_t max_batch)
-    : max_batch_(max_batch) {
-  CCVC_CHECK_MSG(max_batch >= 1 && max_batch <= wire::kMaxBatchMsgs,
-                 "max_batch must be in [1, wire::kMaxBatchMsgs]");
-  msgs_.reserve(max_batch);
-}
+    : max_batch_(max_batch), frame_(max_batch, 0) {}
 
-bool BatchAssembler::add(net::Payload msg) {
-  CCVC_CHECK_MSG(msgs_.size() < max_batch_,
-                 "assembler is full — flush before adding");
-  // Into capacity reserved once in the constructor (max_batch), and the
-  // CHECK above keeps size below it — never reallocates.
-  msgs_.push_back(std::move(msg));  // ccvc-sa: allow(hot-path-budget)
-  return msgs_.size() == max_batch_;
+bool BatchAssembler::add(const engine::CenterMsgEncoder& msg,
+                         const engine::Stamp& stamp, engine::StampMode mode) {
+  frame_.add(msg, stamp, mode);
+  return frame_.size() == max_batch_;
 }
 
 net::Payload BatchAssembler::flush() {
-  CCVC_CHECK_MSG(!msgs_.empty(), "nothing to flush");
-  net::Payload frame = engine::encode_batch(msgs_);
+  const std::size_t n = frame_.size();
+  CCVC_CHECK_MSG(n > 0, "nothing to flush");
+  // The next frame is sized like this one: a steady stream of
+  // broadcasts fills each frame without regrowing it.
+  const std::size_t reserve = frame_.bytes();
+  net::Payload frame = std::move(frame_).close();
+  frame_ = engine::BatchFrame(max_batch_, reserve);
   CCVC_METRIC_COUNT("engine.batch.flushes", 1);
-  CCVC_METRIC_COUNT("engine.batch.msgs", msgs_.size());
-  CCVC_METRIC_HIST("engine.batch.occupancy", msgs_.size());
+  CCVC_METRIC_COUNT("engine.batch.msgs", n);
+  CCVC_METRIC_HIST("engine.batch.occupancy", n);
   CCVC_METRIC_HIST("engine.batch.bytes", frame.size());
-  msgs_.clear();
   return frame;
 }
 

@@ -31,6 +31,7 @@ NotifierPipeline::NotifierPipeline(std::size_t num_sites,
       cfg_(cfg),
       pcfg_(pcfg),
       egress_(std::move(egress)),
+      departed_(num_sites + 1),
       central_(pcfg.ring_capacity),
       egress_ring_(pcfg.ring_capacity) {
   CCVC_CHECK(static_cast<bool>(egress_));
@@ -38,8 +39,9 @@ NotifierPipeline::NotifierPipeline(std::size_t num_sites,
                  "num_shards must be 1: submit() parses on its caller");
   site_ = std::make_unique<engine::NotifierSite>(
       num_sites_, initial_doc, cfg_,
-      [this](SiteId dest, net::Payload bytes) {
-        on_broadcast(dest, std::move(bytes));
+      [this](SiteId dest, const engine::CenterMsgEncoder& msg,
+             const engine::Stamp& stamp) {
+        batch_broadcast(dest, msg, stamp);
       });
   assemblers_.reserve(num_sites_ + 1);
   for (std::size_t i = 0; i <= num_sites_; ++i) {
@@ -69,6 +71,14 @@ void NotifierPipeline::submit(SiteId from, net::Payload bytes) {
   engine::NotifierSite::ParsedUplink parsed =
       engine::NotifierSite::parse_uplink(from, bytes, cfg_);
   CCVC_METRIC_HIST("runtime.stage.ingress_us", wall_us_since(t0));
+  // A departed site sends nothing more, and leaves once: the engine
+  // would abort the transform thread on either.  The exchange admits
+  // exactly one leave per site however many threads race to submit it;
+  // this flag orders nothing else, so relaxed suffices.
+  const bool departed =
+      parsed.leave ? departed_[from].exchange(true, std::memory_order_relaxed)
+                   : departed_[from].load(std::memory_order_relaxed);
+  CCVC_CHECK_MSG(!departed, "uplink from a site that has already left");
   // Counted only once the parse succeeded, and before the push, so
   // committed_ never overtakes submitted_.  A rising submitted_ can only
   // falsify drained(); no sleeping waiter's predicate turns true, so no
@@ -95,7 +105,7 @@ void NotifierPipeline::transform_loop() {
     const bool quiet = committed_.load(std::memory_order_acquire) ==
                        submitted_.load(std::memory_order_acquire);
     const bool draining = drain_requested_.load(std::memory_order_acquire);
-    if (pending_batched_.load(std::memory_order_acquire) > 0 &&
+    if (pending_local_ > 0 &&
         (pcfg_.flush == FlushPolicy::kAdaptive || (draining && quiet))) {
       flush_all();
     }
@@ -129,19 +139,32 @@ void NotifierPipeline::commit(engine::NotifierSite::ParsedUplink parsed) {
   site_->apply_uplink(std::move(parsed));
   CCVC_METRIC_COUNT("runtime.commits", 1);
   CCVC_METRIC_HIST("runtime.stage.commit_us", wall_us_since(t0));
+  // The commit's broadcasts are published before committed_ rises, so a
+  // waiter that sees the new committed_ also sees them pending.
+  publish_pending();
   committed_.fetch_add(1, std::memory_order_acq_rel);
   notify_drain();  // committed_ is a drain predicate — wake a pending drain()
 }
 
-void NotifierPipeline::on_broadcast(SiteId dest, net::Payload bytes) {
-  // Runs on the transform thread, inside apply_uplink's broadcast loop.
-  // A rising pending_batched_ can only falsify drained() — no notify.
-  pending_batched_.fetch_add(1, std::memory_order_acq_rel);  // ccvc-sa: allow(liveness-discipline)
-  if (assemblers_[dest].add(std::move(bytes))) flush_dest(dest);
+void NotifierPipeline::batch_broadcast(SiteId dest,
+                                       const engine::CenterMsgEncoder& msg,
+                                       const engine::Stamp& stamp) {
+  // Runs on the transform thread, inside apply_uplink's broadcast loop:
+  // the message goes straight into dest's open frame.  Counted locally;
+  // commit() publishes the count.
+  ++pending_local_;
+  if (assemblers_[dest].add(msg, stamp, cfg_.stamp_mode)) flush_dest(dest);
+}
+
+void NotifierPipeline::publish_pending() {
+  // A rising pending_batched_ can only falsify drained(), and a falling
+  // one follows the inflight rise of the frame it moved (flush_dest) —
+  // no notify.
+  pending_batched_.store(pending_local_, std::memory_order_release);  // ccvc-sa: allow(liveness-discipline)
 }
 
 void NotifierPipeline::flush_dest(SiteId dest) {
-  const std::int64_t n = static_cast<std::int64_t>(assemblers_[dest].size());
+  pending_local_ -= static_cast<std::int64_t>(assemblers_[dest].size());
   EgressItem item{dest, assemblers_[dest].flush()};
   // inflight rises before pending falls so drained() never observes a
   // frame that is in neither count: the inflight rise only falsifies
@@ -149,7 +172,7 @@ void NotifierPipeline::flush_dest(SiteId dest) {
   // it moved is still inflight — neither write needs a notify (the
   // egress thread notifies after the matching inflight decrement).
   egress_inflight_.fetch_add(1, std::memory_order_acq_rel);  // ccvc-sa: allow(liveness-discipline)
-  pending_batched_.fetch_sub(n, std::memory_order_acq_rel);  // ccvc-sa: allow(liveness-discipline)
+  publish_pending();
   Backoff bo;
   // The egress consumer outlives every transform-side producer spin
   // (stop_ is ordered after drain(); docs/BLOCKING.md).

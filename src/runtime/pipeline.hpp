@@ -7,7 +7,8 @@
 //     parse_uplink                 [stateless decode, on the caller]
 //        |---> central MPSC ring
 //   transform thread: apply_uplink [single-writer GOT + SV state]
-//        |---> per-destination BatchAssembler (flush policy below)
+//        |---> each destination's open 0xC5 frame (BatchAssembler;
+//              flush policy below)
 //        |---> egress ring
 //   egress thread: EgressFn(dest, 0xC5 batch frame)
 //
@@ -24,11 +25,12 @@
 //    ring runs empty (a tick boundary), bounding latency under light
 //    load.
 //
-// A malformed uplink throws out of submit() on the caller's thread,
-// before anything is counted or enqueued.  The pipeline threads never
-// catch exceptions: a ContractViolation on the transform stage is a
-// protocol-state corruption and must terminate the process, exactly as
-// it would abort the deterministic simulator.
+// A malformed uplink, and any uplink from a site whose leave submit()
+// already accepted (a second leave included), throws out of submit() on
+// the caller's thread, before anything is counted or enqueued.  The
+// pipeline threads never catch exceptions: a ContractViolation on the
+// transform stage is a protocol-state corruption and must terminate the
+// process, exactly as it would abort the deterministic simulator.
 #pragma once
 
 #include <atomic>
@@ -88,8 +90,9 @@ class NotifierPipeline {
   /// Parses one uplink payload from client `from` on the calling
   /// thread and enqueues it for commit.  Callable from any thread;
   /// blocks (backoff) while the central ring is full.  Calls from one
-  /// thread commit in call order.  A payload parse_uplink rejects
-  /// throws here and is neither counted nor enqueued.
+  /// thread commit in call order.  A payload parse_uplink rejects, or
+  /// one from a site that has already left, throws here and is neither
+  /// counted nor enqueued.
   void submit(SiteId from, net::Payload bytes);
 
   /// Blocks until everything submitted so far is parsed, committed,
@@ -117,7 +120,9 @@ class NotifierPipeline {
   void transform_loop();
   void egress_loop();
   void commit(engine::NotifierSite::ParsedUplink parsed);
-  void on_broadcast(SiteId dest, net::Payload bytes);
+  void batch_broadcast(SiteId dest, const engine::CenterMsgEncoder& msg,
+                       const engine::Stamp& stamp);
+  void publish_pending();
   void flush_dest(SiteId dest);
   void flush_all();
   bool drained() const;
@@ -130,6 +135,11 @@ class NotifierPipeline {
 
   std::unique_ptr<engine::NotifierSite> site_;
   std::vector<BatchAssembler> assemblers_;  // [dest]; transform thread only
+  // Messages in assemblers_, counted on the transform thread and
+  // published to pending_batched_ once per commit and per flush.
+  std::int64_t pending_local_ = 0;
+  // [site]: submit() has accepted its leave.
+  std::vector<std::atomic<bool>> departed_;
 
   BoundedRing<engine::NotifierSite::ParsedUplink> central_;
   BoundedRing<EgressItem> egress_ring_;

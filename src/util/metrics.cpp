@@ -59,9 +59,12 @@ void append_json_u64(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
-void Histogram::record(std::uint64_t v) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+void Histogram::record(std::uint64_t v) { record_n(v, 1); }
+
+void Histogram::record_n(std::uint64_t v, std::uint64_t n) {
+  if (n == 0) return;
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(v * n, std::memory_order_relaxed);
   std::uint64_t seen_min = min_.load(std::memory_order_relaxed);
   while (v < seen_min && !min_.compare_exchange_weak(
                              seen_min, v, std::memory_order_relaxed)) {
@@ -71,7 +74,21 @@ void Histogram::record(std::uint64_t v) {
                              seen_max, v, std::memory_order_relaxed)) {
   }
   buckets_[static_cast<std::size_t>(std::bit_width(v))].fetch_add(
-      1, std::memory_order_relaxed);
+      n, std::memory_order_relaxed);
+}
+
+void Tally::record() {
+  for (std::size_t v = 0; v < kSlots; ++v) {
+    if (slots_[v] == 0) continue;
+    h_.record_n(v, slots_[v]);
+    slots_[v] = 0;
+  }
+  if (run_n_ != 0) record_run();
+}
+
+void Tally::record_run() {
+  h_.record_n(run_v_, run_n_);
+  run_n_ = 0;
 }
 
 std::array<std::uint64_t, Histogram::kBuckets> Histogram::buckets() const {

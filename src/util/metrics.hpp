@@ -86,6 +86,10 @@ class Histogram {
 
   void record(std::uint64_t v);
 
+  /// Exactly what `n` calls to record(v) do, in one update of each
+  /// field; n == 0 records nothing.
+  void record_n(std::uint64_t v, std::uint64_t n);
+
   std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);
   }
@@ -112,6 +116,48 @@ class Histogram {
   std::atomic<std::uint64_t> min_{kNoMin};
   std::atomic<std::uint64_t> max_{0};
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+};
+
+/// A plain-integer tally of values bound for one Histogram, for a loop
+/// that would otherwise call record() — a handful of atomic RMWs on a
+/// shared instrument — once per iteration: add() is a local increment,
+/// and record() then costs one Histogram::record_n per distinct value.
+/// Values below kSlots are counted per value; a larger one (a
+/// full-vector stamp, say) is held as a run while it repeats, and a
+/// different large value records the held run first.  Snapshots read
+/// exactly as if every value had been recorded one by one.
+class Tally {
+ public:
+  static constexpr std::size_t kSlots = 32;
+
+  explicit Tally(Histogram& h) : h_(h) {}
+
+  void add(std::uint64_t v) {
+    if (v < kSlots) {
+      ++slots_[static_cast<std::size_t>(v)];
+      return;
+    }
+    if (run_n_ != 0 && v != run_v_) record_run();
+    run_v_ = v;
+    ++run_n_;
+  }
+
+  /// Records everything added since the last call into the histogram.
+  void record();
+
+ private:
+  void record_run();
+
+  Histogram& h_;
+  std::array<std::uint64_t, kSlots> slots_{};
+  std::uint64_t run_v_ = 0;
+  std::uint64_t run_n_ = 0;
+};
+
+/// What CCVC_METRIC_TALLY declares under CCVC_NO_METRICS: nothing.
+struct NoTally {
+  void add(std::uint64_t /*v*/) {}
+  void record() {}
 };
 
 /// Looks up (registering on first use) the named instrument.  Names must
@@ -171,6 +217,7 @@ inline std::uint64_t to_us(double ms) {
   do {                            \
     (void)sizeof(v);              \
   } while (0)
+#define CCVC_METRIC_TALLY(var, name) ::ccvc::util::metrics::NoTally var
 
 #else
 
@@ -194,5 +241,12 @@ inline std::uint64_t to_us(double ms) {
         ::ccvc::util::metrics::histogram(name);                       \
     ccvc_metric_instrument.record(static_cast<std::uint64_t>(v));     \
   } while (0)
+
+// Declares `var`, a metrics::Tally over the named histogram: var.add(v)
+// inside a loop, var.record() once after it.
+#define CCVC_METRIC_TALLY(var, name)                                  \
+  static ::ccvc::util::metrics::Histogram& var##_instrument =         \
+      ::ccvc::util::metrics::histogram(name);                         \
+  ::ccvc::util::metrics::Tally var(var##_instrument)
 
 #endif  // CCVC_NO_METRICS

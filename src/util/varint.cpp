@@ -86,4 +86,13 @@ std::size_t uvarint_size(std::uint64_t v) {
   return n;
 }
 
+std::uint8_t* encode_uvarint(std::uint64_t v, std::uint8_t* out) {
+  while (v >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(v) | 0x80u;
+    v >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(v);
+  return out;
+}
+
 }  // namespace ccvc::util

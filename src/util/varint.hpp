@@ -89,4 +89,9 @@ class ByteSource {
 /// without materializing a buffer).
 std::size_t uvarint_size(std::uint64_t v);
 
+/// Writes the bytes put_uvarint would emit for v to `out`, which has
+/// room for uvarint_size(v) of them — for a header filled in after what
+/// follows it.  Returns past the last byte written.
+std::uint8_t* encode_uvarint(std::uint64_t v, std::uint8_t* out);
+
 }  // namespace ccvc::util

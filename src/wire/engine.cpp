@@ -41,6 +41,36 @@ void Writer::crc(const FieldDesc& f) {
   sink_.put_u8(static_cast<std::uint8_t>(crc >> 24));
 }
 
+namespace {
+
+// Tag byte + count varint.
+std::size_t counted_head_size(std::uint64_t n) {
+  return 1 + util::uvarint_size(n);
+}
+
+}  // namespace
+
+void Writer::counted_head_room(const FieldDesc& f, std::uint64_t max_n) {
+  CCVC_DCHECK(f.kind == FieldKind::kRepeated && !f.external_count);
+  if (max_n > f.bound) detail::encode_bound_failed(f, max_n);
+  for (std::size_t i = counted_head_size(max_n); i > 0; --i) sink_.put_u8(0);
+}
+
+void finish_counted_head(std::vector<std::uint8_t>& msg, const MessageDesc& d,
+                         std::uint64_t max_n, std::uint64_t n) {
+  CCVC_DCHECK(d.tag != kNoTag);
+  CCVC_CHECK_MSG(n <= max_n, "count exceeds the room reserved for it");
+  const std::size_t room = counted_head_size(max_n);
+  const std::size_t unused = room - counted_head_size(n);
+  CCVC_CHECK(msg.size() >= room);
+  std::uint8_t* out = msg.data() + unused;
+  *out++ = static_cast<std::uint8_t>(d.tag);
+  util::encode_uvarint(n, out);
+  if (unused > 0) {
+    msg.erase(msg.begin(), msg.begin() + static_cast<std::ptrdiff_t>(unused));
+  }
+}
+
 std::string Reader::str(const FieldDesc& f) {
   CCVC_DCHECK(f.kind == FieldKind::kString);
   // Peek the length prefix ourselves so the bound check runs before

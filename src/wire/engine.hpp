@@ -68,10 +68,16 @@ class Writer {
 
   /// kBytes — uvarint length + raw bytes.
   void blob(const FieldDesc& f, const void* data, std::size_t n) {
+    blob_head(f, n);
+    sink_.put_raw(data, n);
+  }
+
+  /// kBytes — the length prefix alone, for bytes the caller appends
+  /// itself (exactly n of them) without staging them in a buffer.
+  void blob_head(const FieldDesc& f, std::size_t n) {
     CCVC_DCHECK(f.kind == FieldKind::kBytes);
     if (n > f.bound) detail::encode_bound_failed(f, n);
     sink_.put_uvarint(n);
-    sink_.put_raw(data, n);
   }
 
   /// kRaw — unprefixed tail bytes.
@@ -90,6 +96,12 @@ class Writer {
     if (!f.external_count) sink_.put_uvarint(n);
   }
 
+  /// The head of a tagged message whose kRepeated count is known only
+  /// after its elements are written: placeholder bytes for the tag and
+  /// the largest count `max_n`, bound-checked like count().
+  /// finish_counted_head() fills them in.
+  void counted_head_room(const FieldDesc& f, std::uint64_t max_n);
+
   /// kCrc32 — little-endian CRC-32 over every byte written so far.
   void crc(const FieldDesc& f);
 
@@ -98,6 +110,14 @@ class Writer {
  private:
   util::ByteSink& sink_;
 };
+
+/// Writes the tag of `d` and the count `n` (at most the `max_n` that
+/// Writer::counted_head_room reserved at the front of `msg`) into that
+/// room, right-aligned against the first element, and drops the
+/// placeholder bytes a shorter count leaves over — a shift of the whole
+/// message, needed only when n's varint is shorter than max_n's.
+void finish_counted_head(std::vector<std::uint8_t>& msg, const MessageDesc& d,
+                         std::uint64_t max_n, std::uint64_t n);
 
 /// Schema-checked deserializer over a ByteSource.
 class Reader {

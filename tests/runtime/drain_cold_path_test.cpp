@@ -3,9 +3,9 @@
 // ring) and every drain wake-up path (committed_, pending_batched_,
 // egress_inflight_) to actually run, across repeated drain()/submit()
 // interleavings — the regime docs/BLOCKING.md's wait-for edges
-// describe.  Also covers a malformed uplink rejected by submit() on the
-// caller's thread.  TSan covers this suite via CI step 13 (ctest label
-// `runtime`).
+// describe.  Also covers a malformed uplink, and an uplink from a site
+// that has already left, rejected by submit() on the caller's thread.
+// TSan covers this suite via CI step 13 (ctest label `runtime`).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 
 #include "engine/client_site.hpp"
 #include "engine/config.hpp"
+#include "engine/message.hpp"
 #include "net/channel.hpp"
 #include "runtime/pipeline.hpp"
 #include "util/check.hpp"
@@ -172,6 +173,52 @@ TEST(PipelineIngress, MalformedUplinkThrowsOnTheCaller) {
   EXPECT_EQ(pipe.committed(), 2u);
   EXPECT_EQ(pipe.site().text(), "abc");
   EXPECT_EQ(frames.load(std::memory_order_relaxed), 2u);
+}
+
+// A second leave, or any uplink after a site's leave, throws
+// ContractViolation out of submit() on the caller: nothing is counted
+// or enqueued, so the transform thread never sees it (remove_site would
+// abort the process on a second leave), and the pipeline still drains,
+// keeps committing the other sites' uplinks, and shuts down.
+TEST(PipelineIngress, UplinkAfterLeaveThrowsOnTheCaller) {
+  runtime::PipelineConfig pcfg;
+  pcfg.max_batch = 1;  // a frame per committed op
+  engine::EngineConfig ecfg;
+  std::atomic<std::size_t> frames{0};
+  runtime::NotifierPipeline pipe(
+      3, "", ecfg,
+      [&frames](SiteId, net::Payload) {
+        frames.fetch_add(1, std::memory_order_relaxed);
+      },
+      pcfg);
+
+  engine::ClientSite client1(
+      1, 3, "", ecfg,
+      [&pipe](net::Payload bytes) { pipe.submit(1, std::move(bytes)); });
+  client1.insert(0, "a");
+  pipe.submit(1, engine::encode_leave(1));
+  pipe.drain();
+  EXPECT_EQ(pipe.submitted(), 2u);
+  EXPECT_EQ(pipe.committed(), 2u);
+  EXPECT_FALSE(pipe.site().is_active(1));
+
+  EXPECT_THROW(pipe.submit(1, engine::encode_leave(1)), ContractViolation);
+  EXPECT_THROW(client1.insert(1, "b"), ContractViolation);
+  EXPECT_EQ(pipe.submitted(), 2u);
+
+  engine::ClientSite client2(
+      2, 3, "", ecfg,
+      [&pipe](net::Payload bytes) { pipe.submit(2, std::move(bytes)); });
+  client2.insert(0, "c");
+  pipe.drain();
+  EXPECT_EQ(pipe.submitted(), 3u);
+  EXPECT_EQ(pipe.committed(), 3u);
+  EXPECT_EQ(pipe.site().text(), "ac");
+  // "a" reached sites 2 and 3; "c" reached site 3 only (site 1 left).
+  // Client 2 never executed "a", so the two inserts at 0 were
+  // concurrent; the tie-break put site 1's insert first.
+  EXPECT_EQ(frames.load(std::memory_order_relaxed), 3u);
+  pipe.shutdown();
 }
 
 }  // namespace

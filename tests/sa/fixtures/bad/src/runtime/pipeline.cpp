@@ -7,9 +7,12 @@
 //   * g_egress_total   plain global written from the egress closure
 //                      (single-writer #2);
 //   * flag_.store(1)   atomic op with a defaulted order (atomics-order);
-//   * tmp.push_back    allocation on the submit path (hot-path-budget;
+//   * tmp.push_back    allocation on the submit path (hot-path-budget #1;
 //                      the staged HOTPATH.md is generated from this
 //                      tree, so only the op finding fires, not drift);
+//   * Scratch scratch  a declaration-style construction on the submit
+//                      path: the call reaches the constructor and its
+//                      allocation (hot-path-budget #2);
 //   * out_ring_ spin   a capacity wait on the egress closure — the
 //                      edge-absence assertion the unbounded-inbox rule
 //                      compiles to (blocking-graph), and a spin that
@@ -24,6 +27,11 @@ namespace fx {
 
 int g_egress_total = 0;
 
+struct Scratch {
+  explicit Scratch(int n) { buf_.reserve(static_cast<std::size_t>(n)); }
+  std::vector<int> buf_;
+};
+
 struct OutRing {
   bool try_push(int v);
 };
@@ -32,7 +40,7 @@ class NotifierPipeline {
  public:
   std::uint64_t submit(int from);
   void transform_loop();
-  void on_broadcast(int dest);
+  void batch_broadcast(int dest);
   void egress_loop();
 
  private:
@@ -46,6 +54,7 @@ class NotifierPipeline {
 std::uint64_t NotifierPipeline::submit(int from) {
   std::vector<int> tmp;
   tmp.push_back(from);
+  const Scratch scratch(from);
   shared_counter_ += from;
   return submitted_.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -59,7 +68,7 @@ void NotifierPipeline::transform_loop() {
   }
 }
 
-void NotifierPipeline::on_broadcast(int dest) { (void)dest; }
+void NotifierPipeline::batch_broadcast(int dest) { (void)dest; }
 
 void NotifierPipeline::egress_loop() {
   // Capacity wait attributed to the egress closure: violates the

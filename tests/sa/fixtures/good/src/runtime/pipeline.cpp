@@ -20,10 +20,17 @@
 //   * out_ring_       a capacity wait whose edge transform → egress is
 //                     acyclic (blocking-graph must accept the edge);
 //   * cv_/ready_      predicate-form wait whose predicate writer
-//                     reaches a notify on the same cv (liveness accept).
+//                     reaches a notify on the same cv (liveness accept);
+//   * run_threaded_star constructs the pipeline declaration-style: the
+//                     call reaches the constructor, but the lambda the
+//                     constructor stores (a thread body) runs on the
+//                     transform thread, not in the control closure — so
+//                     got_state_ keeps its one (transform) writer and no
+//                     control ↔ transform cycle appears.
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -45,9 +52,10 @@ struct Ring {
 
 class NotifierPipeline {
  public:
+  explicit NotifierPipeline(int n);
   std::uint64_t submit(int from);
   void transform_loop();
-  void on_broadcast(int dest);
+  void batch_broadcast(int dest);
   void egress_loop();
   void cold_path();
   void wait_ready();
@@ -69,7 +77,12 @@ class NotifierPipeline {
   std::vector<int> cold_;
   std::vector<int> log_;
   std::vector<int> batch_;
+  std::function<void()> body_;
 };
+
+NotifierPipeline::NotifierPipeline(int n) : got_state_(n) {
+  body_ = [this] { transform_loop(); };
+}
 
 std::uint64_t NotifierPipeline::submit(int from) {
   return submitted_.fetch_add(1, std::memory_order_acq_rel) +
@@ -85,7 +98,7 @@ void NotifierPipeline::transform_loop() {
   // ever writes it.
   got_state_ += item + g_verbose;
   g_commits.fetch_add(1, std::memory_order_relaxed);
-  on_broadcast(got_state_);
+  batch_broadcast(got_state_);
   // Capacity wait that (a) consults stop_, written by shutdown() in
   // another context, and (b) forms the acyclic edge transform → egress
   // (egress pops out_ring_).  Both checkers must accept it.
@@ -94,7 +107,7 @@ void NotifierPipeline::transform_loop() {
   }
 }
 
-void NotifierPipeline::on_broadcast(int dest) {
+void NotifierPipeline::batch_broadcast(int dest) {
   batch_.clear();
   note_egress(dest);
 }
@@ -138,6 +151,11 @@ void NotifierPipeline::shutdown() {
   }
   cv_.notify_all();
   stop_.store(1, std::memory_order_release);
+}
+
+void run_threaded_star() {
+  NotifierPipeline pipeline(1);
+  pipeline.shutdown();
 }
 
 }  // namespace fx

@@ -15,7 +15,8 @@ through `ccvc_sa --check`:
          transform path beside a free `clear()` that writes a plain
          global, an allocation outside the hot-path closure, a live
          allow() pragma on a deliberate budget hit, explicit-order
-         atomics.  Must run clean (exit 0).
+         atomics, a declaration-style construction whose constructor
+         stores a thread-body lambda.  Must run clean (exit 0).
 
 Coverage is enforced structurally: EXPECTED_BAD below is compared
 against the checker registry (`ccvc_sa --list`), so adding a checker
@@ -48,7 +49,7 @@ EXPECTED_BAD = {
     "exception-discipline": 1,
     "single-writer": 2,        # two-closure member + hot-path global
     "atomics-order": 1,
-    "hot-path-budget": 1,
+    "hot-path-budget": 2,      # submit-path alloc + declared-ctor alloc
     "blocking-graph": 1,       # capacity wait on the egress closure
     "liveness-discipline": 2,  # spin w/o stop flag ×2 (egress + go_)
 }

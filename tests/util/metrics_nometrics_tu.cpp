@@ -17,6 +17,9 @@ void metrics_nometrics_probe() {
   CCVC_METRIC_COUNT("test.nometrics.counter", 1);
   CCVC_METRIC_GAUGE_SET("test.nometrics.gauge", depth);
   CCVC_METRIC_HIST("test.nometrics.hist", depth);
+  CCVC_METRIC_TALLY(sizes, "test.nometrics.tally");
+  for (int i = 0; i < depth; ++i) sizes.add(static_cast<std::uint64_t>(i));
+  sizes.record();
   CCVC_TRACE(trace::EventType::kChannelSend, 0.0, 0, 0, 0);
 }
 

@@ -10,6 +10,9 @@
 #include <cstdint>
 #include <limits>
 
+#include "engine/observer.hpp"
+#include "engine/session.hpp"
+#include "sim/workload.hpp"
 #include "util/check.hpp"
 
 namespace ccvc::util {
@@ -148,6 +151,117 @@ TEST_F(MetricsTest, MacrosResolveOnceAndBump) {
   EXPECT_EQ(metrics::gauge("test.macro.gauge").value, 2);
   EXPECT_EQ(metrics::histogram("test.macro.hist").count(), 3u);
   EXPECT_EQ(metrics::instrument_count(), before + 3);
+}
+
+void expect_same(const metrics::Histogram& a, const metrics::Histogram& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.buckets(), b.buckets());
+}
+
+TEST_F(MetricsTest, RecordNEqualsNRecords) {
+  metrics::Histogram one_by_one;
+  metrics::Histogram batched;
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{3},
+                                std::uint64_t{17}, std::uint64_t{1} << 40,
+                                max}) {
+    for (int i = 0; i < 5; ++i) one_by_one.record(v);
+    batched.record_n(v, 5);
+  }
+  expect_same(one_by_one, batched);
+  EXPECT_EQ(batched.count(), 25u);
+  EXPECT_EQ(batched.min(), 0u);
+  EXPECT_EQ(batched.max(), max);
+}
+
+TEST_F(MetricsTest, RecordNZeroIsANoOp) {
+  metrics::Histogram h;
+  h.record_n(9, 0);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  EXPECT_EQ(h.min(), 0u);  // still "empty": no min was ever taken
+  EXPECT_EQ(h.max(), 0u);
+  h.record(4);
+  h.record_n(1, 0);
+  EXPECT_EQ(h.min(), 4u);
+  EXPECT_EQ(h.count(), 1u);
+}
+
+TEST_F(MetricsTest, TallyRecordsLikeOneRecordPerValue) {
+  // Small values take the per-value slots; values of kSlots and up —
+  // a full-vector stamp — take the run, including a run that changes
+  // value mid-loop and one left open until record().
+  const std::uint64_t values[] = {2,  3,  3,  0,  31, 32, 32, 32, 57,
+                                  57, 2,  40, 40, 40, 1u << 20};
+  metrics::Histogram reference;
+  metrics::Histogram tallied;
+  metrics::Tally tally(tallied);
+  for (const std::uint64_t v : values) {
+    reference.record(v);
+    tally.add(v);
+  }
+  tally.record();
+  expect_same(reference, tallied);
+  tally.record();  // nothing is recorded twice
+  expect_same(reference, tallied);
+}
+
+TEST_F(MetricsTest, TallyMacroResolvesTheNamedHistogram) {
+  for (int round = 0; round < 2; ++round) {
+    CCVC_METRIC_TALLY(sizes, "test.macro.tally");
+    sizes.add(5);
+    sizes.add(5);
+    sizes.add(300);
+    sizes.record();
+  }
+  const metrics::Histogram& h = metrics::histogram("test.macro.tally");
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_EQ(h.sum(), 620u);
+}
+
+/// Records every stamp the engine reports on the wire, one record() per
+/// message: the reference the notifier's per-broadcast tally of
+/// engine.wire.stamp_bytes must match exactly.
+class StampBytesPerMessage : public engine::EngineObserver {
+ public:
+  void on_wire(SiteId /*from*/, SiteId /*to*/, std::size_t /*message_bytes*/,
+               std::size_t stamp_bytes) override {
+    hist.record(stamp_bytes);
+  }
+  metrics::Histogram hist;
+};
+
+void expect_session_stamp_bytes_unchanged(engine::StampMode mode,
+                                          std::size_t sites) {
+  metrics::reset();
+  engine::StarSessionConfig cfg;
+  cfg.num_sites = sites;
+  cfg.initial_doc = "tally the stamps";
+  cfg.engine.stamp_mode = mode;
+  StampBytesPerMessage per_message;
+  engine::StarSession session(cfg, &per_message);
+  sim::WorkloadConfig w;
+  w.ops_per_site = 6;
+  sim::StarWorkload workload(session, w);
+  workload.start();
+  session.run_to_quiescence();
+  ASSERT_TRUE(session.converged());
+  ASSERT_GT(per_message.hist.count(), 0u);
+  expect_same(per_message.hist, metrics::histogram("engine.wire.stamp_bytes"));
+}
+
+TEST_F(MetricsTest, SessionStampBytesMatchPerMessageRecordsCompressed) {
+  expect_session_stamp_bytes_unchanged(engine::StampMode::kCompressed, 6);
+}
+
+TEST_F(MetricsTest, SessionStampBytesMatchPerMessageRecordsFullVector) {
+  // 40 sites: every full-vector stamp is over Tally::kSlots bytes.
+  expect_session_stamp_bytes_unchanged(engine::StampMode::kFullVector, 40);
+  EXPECT_GT(metrics::histogram("engine.wire.stamp_bytes").min(),
+            metrics::Tally::kSlots);
 }
 
 TEST_F(MetricsTest, NoMetricsTuRegistersNothing) {

@@ -187,11 +187,13 @@ DOC_XREF_RE = re.compile(
     r"[A-Za-z0-9_.\-/]*/[A-Za-z0-9_.\-]+"
     r"\.(?:cpp|hpp|h|cc|c|py|sh|md|txt|json|cmake)\b"
 )
-# A metric-macro call site with its name literal.  Matched against RAW
+# A metric-macro call site with its name literal (CCVC_METRIC_TALLY
+# takes it second, after the tally's variable).  Matched against RAW
 # file text (the comment/string stripper blanks the literal), tolerant
 # of the macro call being split over lines.
 METRIC_USE_RE = re.compile(
-    r'CCVC_METRIC_(?:COUNT|GAUGE_SET|HIST)\s*\(\s*"([a-z0-9_.]+)"'
+    r'CCVC_METRIC_(?:(?:COUNT|GAUGE_SET|HIST)\s*\(|TALLY\s*\(\s*\w+\s*,)'
+    r'\s*"([a-z0-9_.]+)"'
 )
 # A metric name in the instrument catalog: dotted lower-case, at least
 # two components (filters out prose words and C++ identifiers).

@@ -506,11 +506,6 @@ def _carveouts(model: Model) -> dict[str, list[tuple[str, int, int]]]:
     return out
 
 
-def _extract_call_names(body: list) -> set[str]:
-    from sa_model import _extract_calls
-    return _extract_calls(body)
-
-
 @dataclass
 class Analysis:
     units: list[Unit]
@@ -557,13 +552,13 @@ def analyze(model: Model) -> Analysis:
             for cu, s, e in ctx_units:
                 fresh = Unit(fn.qual, fn.cls, fn.file, fn.line, cu.ctx)
                 _scan_unit(fn.body[s:e], fresh, canon, model)
-                fresh.calls = _extract_call_names(fn.body[s:e])
+                fresh.calls = model.calls_in(fn.body[s:e])
                 units.append(fresh)
             masked = [t for k, t in enumerate(fn.body)
                       if outside(k)]
             mhost = Unit(fn.qual, fn.cls, fn.file, fn.line, None)
             _scan_unit(masked, mhost, canon, model)
-            mhost.calls = _extract_call_names(masked)
+            mhost.calls = model.calls_in(masked)
             units.append(mhost)
         else:
             host.calls = set(fn.calls)

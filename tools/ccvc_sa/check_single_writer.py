@@ -64,13 +64,13 @@ RING_FILES = ("src/runtime/bounded_ring.hpp",)
 # closures executed by several threads at once: a plain write reachable
 # from such a closure is a race even with no second closure involved.
 # Entry points are seeded explicitly where std::function/std::thread
-# boundaries break the static call graph; `on_broadcast` runs on the
+# boundaries break the static call graph; `batch_broadcast` runs on the
 # transform thread inside apply_uplink's broadcast callback
 # (docs/THREADING.md §2).  A new stage registers here and nowhere else.
 THREAD_CLOSURES: dict[str, tuple[list[str], bool]] = {
     "producer": (["NotifierPipeline::submit"], True),
     "transform": (["NotifierPipeline::transform_loop",
-                   "NotifierPipeline::on_broadcast"], False),
+                   "NotifierPipeline::batch_broadcast"], False),
     "egress": (["NotifierPipeline::egress_loop"], False),
     # The external controlling thread: construction, drain, shutdown,
     # and the closed-loop harness.  drain()/shutdown() document that no

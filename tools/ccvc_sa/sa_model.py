@@ -49,6 +49,7 @@ MACRO_CALLS = {
     "CCVC_METRIC_COUNT": ["counter"],
     "CCVC_METRIC_GAUGE_SET": ["gauge"],
     "CCVC_METRIC_HIST": ["histogram"],
+    "CCVC_METRIC_TALLY": ["histogram"],
     "CCVC_TRACE": ["enabled", "record"],
     "CCVC_CHECK": ["check_failed"],
     "CCVC_CHECK_MSG": ["check_failed"],
@@ -106,6 +107,26 @@ class Model:
     by_name: dict[str, list[Func]] = field(default_factory=dict)
     # names declared [[noreturn]] anywhere (prototype or definition)
     noreturn_names: set[str] = field(default_factory=set)
+
+    def calls_in(self, body: list[Tok]) -> set[str]:
+        """_extract_calls over `body` against this model's class table —
+        for a whole function body or for one carved-out slice of it."""
+        return _extract_calls(body, frozenset(
+            c.name for c in self.classes.values()))
+
+    def own_calls(self, fn: "Func") -> set[str]:
+        """fn's calls.  A constructor's exclude its lambda bodies: a
+        lambda built there is stored — a callback, a thread body — and
+        runs later on whichever thread calls it, never inside the
+        closure of the function that constructs the object.  Without
+        this, `NotifierPipeline pipeline(...)` in run_threaded_star
+        would pull the transform thread's body into the control
+        closure."""
+        if fn.name != fn.cls:
+            return self.calls_in(fn.body)
+        lambdas = _lambda_ranges(fn.body)
+        return self.calls_in([t for k, t in enumerate(fn.body)
+                              if not any(s <= k < e for s, e in lambdas)])
 
     def index(self) -> None:
         self.by_name = {}
@@ -289,8 +310,11 @@ def _strip_template(head: list[Tok]) -> list[Tok]:
     return head
 
 
-def _extract_calls(body: list[Tok]) -> set[str]:
-    """Callee names in `body`, member calls marked (see Func.calls)."""
+def _extract_calls(body: list[Tok], classes: frozenset[str]) -> set[str]:
+    """Callee names in `body`, member calls marked (see Func.calls).  A
+    declaration-style construction `Type name(...)` / `Type name{...}`
+    calls Type's constructor; it is recognized only when Type is in
+    `classes`, the model's class table (Model.calls_in)."""
     calls: set[str] = set()
     for i, t in enumerate(body):
         if t.kind != "id" or t.text in NON_CALL:
@@ -300,7 +324,31 @@ def _extract_calls(body: list[Tok]) -> set[str]:
             calls.add("." + t.text if member else t.text)
         if t.text in MACRO_CALLS:
             calls.update(MACRO_CALLS[t.text])
+        if t.text in classes and i + 2 < len(body) \
+                and body[i + 1].kind == "id" \
+                and body[i + 2].text in ("(", "{"):
+            calls.add(t.text)
     return calls
+
+
+def _lambda_ranges(body: list[Tok]) -> list[tuple[int, int]]:
+    """[start, end) token ranges of the lambda bodies in `body`: a `[`
+    that cannot be a subscript (it follows `(`, `,`, `=`, `{`, `;` or
+    `return`), its capture list, an optional parameter list and
+    specifiers, then the braced body."""
+    out: list[tuple[int, int]] = []
+    for i, t in enumerate(body):
+        if t.text != "[" or (i and body[i - 1].text not in (
+                "(", ",", "=", "{", ";", "return")):
+            continue
+        j = _match_paren(body, i, "[", "]")
+        if j < len(body) and body[j].text == "(":
+            j = _match_paren(body, j, "(", ")")
+        while j < len(body) and body[j].text not in ("{", ";", ")", ","):
+            j += 1  # mutable / noexcept / -> return type
+        if j < len(body) and body[j].text == "{":
+            out.append((j, _match_paren(body, j, "{", "}")))
+    return out
 
 
 def _local_statics(fn: Func) -> list[Var]:
@@ -445,7 +493,6 @@ class _FileParser:
         fn = Func(name=name, qual=self.qual(cls, name),
                   cls=cls or self.cur_class(), params=params, body=body,
                   file=self.rel, line=line, noreturn=noreturn, sig=sig)
-        fn.calls = _extract_calls(body)
         self.model.funcs.append(fn)
         self.model.local_statics.extend(_local_statics(fn))
         self.i = body_end
@@ -553,5 +600,9 @@ def build_model(root: pathlib.Path, subdirs: tuple[str, ...] = ("src",),
         model.texts[rel] = text
         model.allows[rel] = allows
         _FileParser(model, rel, toks).run()
+    # Calls are extracted once every file is parsed: a declaration-style
+    # construction resolves against the complete class table.
+    for fn in model.funcs:
+        fn.calls = model.own_calls(fn)
     model.index()
     return model

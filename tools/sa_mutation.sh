@@ -143,7 +143,7 @@ expect_findings "dead suppression entry" 1 \
   "error: dead suppression.*bogus"
 
 # Mutation 5 (single-writer): submit() starts flushing assemblers —
-# transform-owned BatchAssembler state (msgs_) gains a second, and
+# transform-owned BatchAssembler state (frame_) gains a second, and
 # concurrent, writing thread closure.
 stage
 sed 's/engine::NotifierSite::parse_uplink(from, bytes, cfg_);/engine::NotifierSite::parse_uplink(from, bytes, cfg_);\n  if (from == 0 \&\& !assemblers_[0].empty()) assemblers_[0].flush();/' \
@@ -154,7 +154,7 @@ if ! grep -q 'assemblers_\[0\].flush' "$TMP/src/runtime/pipeline.cpp"; then
   exit 1
 fi
 expect_findings "transform state written from producer closure" 1 \
-  "single-writer.*msgs_.*thread closures"
+  "single-writer.*frame_.*thread closures"
 
 # Mutation 6 (atomics-order): an atomic op with the order defaulted to
 # seq_cst instead of spelled out.
