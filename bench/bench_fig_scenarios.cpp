@@ -47,7 +47,7 @@ void run_fig3() {
                session.notifier().text(),
                [&] {
                  std::string hb;
-                 for (const auto& e : session.notifier().history()) {
+                 for (const auto& e : session.notifier().state().hb) {
                    hb += name_of({e.id, true}) + e.stamp.str() + " ";
                  }
                  return hb;

@@ -103,8 +103,7 @@ class NotifierClock {
   std::size_t num_sites() const { return sv0_.size() - 1; }
 
   /// Registers a late-joining site and returns its id.  The new
-  /// component starts at 0; existing buffered stamps simply predate it
-  /// (VersionVector::at_or_zero handles the width difference).
+  /// component starts at 0.
   SiteId add_site();
 
   /// Rule 2: after executing an operation received from `site`.

@@ -56,12 +56,6 @@ class VersionVector {
   /// dynamic membership support (late joiners get fresh components).
   void grow(std::size_t new_size);
 
-  /// Component `i`, or 0 if the clock predates site `i` (a stamp taken
-  /// before a site joined counts zero of its operations).
-  std::uint64_t at_or_zero(std::size_t i) const {
-    return i < v_.size() ? v_[i] : 0;
-  }
-
   /// Sum of all components — used by the notifier compression (paper
   /// eq. 1) and by total-order tie-breaking.
   std::uint64_t sum() const;

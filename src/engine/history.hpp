@@ -3,10 +3,11 @@
 //
 // Client entries carry the 2-element propagation timestamp they arrived
 // or were generated with (§3.3 "a buffered operation is timestamped with
-// its original 2-element propagation timestamp"); notifier entries carry
-// the full N-element state vector at execution time (§3.3 "timestamped
-// with the current N-element state vector value"), plus its cached
-// component sum so formula (7) runs in O(1).
+// its original 2-element propagation timestamp").  Notifier entries are
+// "timestamped with the current N-element state vector value" (§3.3),
+// which is implied by their commit order (SV_0 only ever adds 1 at the
+// origin): the notifier derives it, and materializes it only for
+// checkpoints (StampedNotifierHbEntry).
 #pragma once
 
 #include <vector>
@@ -29,15 +30,26 @@ struct ClientHbEntry {
       default;
 };
 
+/// An HB_0 entry as the notifier keeps it: one entry of its commit log.
 struct NotifierHbEntry {
   OpId id;
   SiteId origin = 0;
-  clocks::VersionVector stamp;    // full SV_0 value after execution
-  std::uint64_t stamp_sum = 0;    // Σ_j stamp[j], cached for O(1) checks
+  SiteId width = 0;               // sites in the session at execution
   ot::OpList executed;            // transformed form O' (server context)
 
   friend bool operator==(const NotifierHbEntry&, const NotifierHbEntry&) =
       default;
+};
+
+/// An HB_0 entry with its stamp: the 0xD2 checkpoint's NotifierHbEntry.
+struct StampedNotifierHbEntry {
+  OpId id;
+  SiteId origin = 0;
+  clocks::VersionVector stamp;    // full SV_0 value after execution
+  ot::OpList executed;
+
+  friend bool operator==(const StampedNotifierHbEntry&,
+                         const StampedNotifierHbEntry&) = default;
 };
 
 }  // namespace ccvc::engine

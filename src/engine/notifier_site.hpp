@@ -31,15 +31,18 @@
 // stamp (BroadcastFn); nothing is materialized per destination unless
 // the receiver asks for it — the SendFn adapter stamps one exact-size
 // buffer, the threaded runtime writes straight into the destination's
-// 0xC5 frame.  The bridge queues likewise share one
-// OpList per broadcast; a transform that rewrites an entry for one
-// queue detaches that entry alone (copy-on-transform): copied once on
-// first transform, then rewritten in place.
+// 0xC5 frame.
+//
+// HB_0 and the untouched tail of every outgoing queue are one commit
+// log, appended once per op.  Client y's queue is its detached
+// (transformed) entries, then the log entries committed after y's
+// cursor; y's op detaches the rest, as a transform rewrites the whole
+// queue.  No entry stores its SV_0 stamp: formula (7) and history GC
+// derive it from log_base_ and the origins, checkpoints materialize it.
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -151,10 +154,11 @@ class NotifierSite {
   std::string text() const { return doc_.text(); }
   const doc::Document& document() const { return doc_; }
   const clocks::NotifierClock& state_vector() const { return clock_; }
-  const std::vector<NotifierHbEntry>& history() const { return hb_; }
+  /// HB_0: the commit log, oldest retained entry first.
+  const std::deque<NotifierHbEntry>& history() const { return log_; }
   std::size_t outgoing_count(SiteId client) const;
   /// HB entries dropped by garbage collection (gc_history mode).
-  std::uint64_t hb_collected() const { return hb_collected_; }
+  std::uint64_t hb_collected() const { return log_base_.total(); }
 
   /// A bridge-queue entry by value — the checkpoint form.
   struct BridgeEntry {
@@ -172,7 +176,7 @@ class NotifierSite {
     std::string document;
     clocks::VersionVector sv0;
     clocks::VersionVector vc;
-    std::vector<NotifierHbEntry> hb;
+    std::vector<StampedNotifierHbEntry> hb;
     std::vector<std::vector<BridgeEntry>> outgoing;  // [client id]
     std::vector<std::uint64_t> enqueued;
     std::vector<std::uint64_t> acked;
@@ -184,24 +188,14 @@ class NotifierSite {
 
   State state() const;
 
-  /// Restores a checkpointed notifier; `cfg` must match.
+  /// Restores a checkpointed notifier; `cfg` must match.  The HB stamps
+  /// must be the ones the commit order implies (each one the previous
+  /// plus 1 at its origin, the last one SV_0, hb_collected the ops
+  /// before the first), or ContractViolation.
   NotifierSite(const State& state, const EngineConfig& cfg,
                SendFn send_to_client, EngineObserver* observer = nullptr);
 
  private:
-  /// BridgeEntry as queued.  Every queue a broadcast reaches shares its
-  /// O' through `shared`; the first transform that rewrites the entry
-  /// for one queue copies it once into `own` (copy-on-transform), which
-  /// every later transform rewrites in place.
-  struct QueuedOp {
-    OpId id;
-    std::uint64_t index;
-    std::shared_ptr<const ot::OpList> shared;  // null once detached
-    ot::OpList own;
-
-    const ot::OpList& ops() const { return shared ? *shared : own; }
-  };
-
   /// The SendFn constructors' adapter onto BroadcastFn.
   static BroadcastFn stamp_and_send(SendFn send, StampMode mode);
 
@@ -215,12 +209,23 @@ class NotifierSite {
   clocks::VersionVector vc_;  // (N+1)-vector, kFullVector mode only
   void gc_history();
 
-  std::vector<NotifierHbEntry> hb_;
-  std::vector<std::deque<QueuedOp>> outgoing_;      // [client id]
+  /// The log entry with commit sequence `seq` (Σ SV_0 after it).
+  const NotifierHbEntry& logged(std::uint64_t seq) const {
+    return log_[seq - log_base_.total() - 1];
+  }
+  /// Client y's queue shares the log entries with commit sequences in
+  /// (shared_after(y), clock_.total()].
+  std::uint64_t shared_after(SiteId y) const;
+  /// Moves y's shared entries past bridge index `acked` into detached_[y].
+  void detach(SiteId y, std::uint64_t acked);
+
+  std::deque<NotifierHbEntry> log_;                 // HB_0
+  clocks::NotifierClock log_base_;                  // SV_0 before log front
+  std::vector<std::deque<BridgeEntry>> detached_;   // [client id]
+  std::vector<std::uint64_t> cursor_;               // [client id]
   std::vector<std::uint64_t> enqueued_;             // total ever, per client
   std::vector<std::uint64_t> acked_;                // latest T[1] per client
   std::vector<bool> active_;                        // departed sites: false
-  std::uint64_t hb_collected_ = 0;                  // GC statistics
 };
 
 }  // namespace ccvc::engine

@@ -195,11 +195,10 @@ NotifierSite::State load_notifier_checkpoint(const net::Payload& bytes) {
   s.vc = clocks::VersionVector::decode(src);
   const std::uint64_t hb_n = r.count(wire::f::kNotifHb);
   for (std::uint64_t i = 0; i < hb_n; ++i) {
-    NotifierHbEntry e;
+    StampedNotifierHbEntry e;
     e.id = get_id(src);
     e.origin = r.uv32(wire::f::kNotifierHbOrigin);
     e.stamp = clocks::VersionVector::decode(src);
-    e.stamp_sum = e.stamp.sum();
     e.executed = get_ops(src);
     s.hb.push_back(std::move(e));
   }

@@ -3,9 +3,11 @@
 // A broadcast encodes O' once and splices each destination's eq. (1)-(2)
 // stamp into it; the bytes every destination receives must be exactly
 // the CenterMsg a per-destination encode would produce.  The bridge
-// queues share one OpList per broadcast, and a transform that rewrites
-// one queue's entry must leave every other queue's copy untouched — in
-// the live queues and in the checkpointed State alike.
+// queues share O' through the notifier's commit log, and a transform
+// that rewrites one queue's entry must leave every other queue's copy
+// untouched — in the live queues and in the checkpointed State alike.
+// A checkpoint materializes the log's stamps and queues, and a restore
+// rebuilds the log from them.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -53,6 +55,38 @@ class Star {
   }
   Star(const Star&) = delete;
   Star& operator=(const Star&) = delete;
+
+  /// Admits a late joiner at the notifier and starts its client from
+  /// the join snapshot.
+  SiteId join(const EngineConfig& cfg) {
+    const NotifierSite::JoinTicket t = notifier_->add_site();
+    uplink_.emplace_back();
+    downlink_.emplace_back();
+    clients_.push_back(std::make_unique<ClientSite>(
+        t.site, t.site, t.document, t.ops_embodied, cfg,
+        [this, i = t.site](net::Payload bytes) {
+          uplink_[i].push_back(std::move(bytes));
+        }));
+    return t.site;
+  }
+
+  /// Crash-restarts client i: its queued messages are lost, and it
+  /// restarts from the notifier's resync snapshot.
+  void restart(SiteId i, const EngineConfig& cfg) {
+    const NotifierSite::ResyncTicket t = notifier_->resync_site(i);
+    uplink_[i].clear();
+    downlink_[i].clear();
+    ClientSite::State state;
+    state.id = i;
+    state.num_sites = notifier_->num_sites();
+    state.document = t.document;
+    state.sv = clocks::CompressedSv{t.ops_embodied, t.own_ops};
+    state.max_ack = t.own_ops;
+    clients_[i - 1] = std::make_unique<ClientSite>(
+        state, cfg, [this, i](net::Payload bytes) {
+          uplink_[i].push_back(std::move(bytes));
+        });
+  }
 
   NotifierSite& notifier() { return *notifier_; }
   ClientSite& client(SiteId i) { return *clients_[i - 1]; }
@@ -254,6 +288,134 @@ TEST(Fanout, CheckpointRoundTripsSharedQueues) {
   EXPECT_EQ(after.outgoing[4], before.outgoing[4]);
   EXPECT_NE(after.outgoing[5], before.outgoing[5]);
   EXPECT_EQ(load_notifier_checkpoint(save_checkpoint(star.notifier())), after);
+}
+
+/// Checkpoints the notifier and restores it, then hands client `next`'s
+/// queued op to both copies: they must send the same bytes and end in
+/// the same state.
+void expect_restores(Star& star, const EngineConfig& cfg, SiteId next) {
+  const NotifierSite::State s = star.notifier().state();
+  ASSERT_EQ(load_notifier_checkpoint(save_checkpoint(star.notifier())), s);
+  std::vector<Sent> sent;
+  NotifierSite restored(s, cfg, [&](SiteId dest, net::Payload bytes) {
+    sent.push_back(Sent{dest, std::move(bytes)});
+  });
+  ASSERT_EQ(restored.state(), s);
+  restored.on_client_message(next, star.peek_uplink(next));
+  EXPECT_EQ(sent, star.submit(next));
+  EXPECT_EQ(restored.state(), star.notifier().state());
+}
+
+/// Client i's queue as the State lists it: (id, bridge index) pairs.
+std::vector<std::pair<OpId, std::uint64_t>> queue_of(
+    const NotifierSite::State& s, SiteId i) {
+  std::vector<std::pair<OpId, std::uint64_t>> out;
+  for (const auto& b : s.outgoing[i]) out.emplace_back(b.id, b.index);
+  return out;
+}
+
+TEST(Fanout, CheckpointRoundTripsTheLog) {
+  EngineConfig cfg;
+  cfg.gc_history = true;
+  Star star(3, cfg);
+  const auto deliver_all = [&] {
+    for (SiteId i = 1; i <= star.notifier().num_sites(); ++i) {
+      if (star.notifier().is_active(i)) star.deliver(i);
+    }
+  };
+
+  // A join between two broadcasts: the first is stamped among 3 sites,
+  // the second among 4.  The joiner's queue starts after the first.
+  star.client(1).insert(0, "one ");
+  star.submit(1);
+  const SiteId joiner = star.join(cfg);
+  const OpId o2 = star.client(2).insert(4, "two ");
+  star.submit(2);
+  star.client(joiner).insert(0, "four ");
+  NotifierSite::State s = star.notifier().state();
+  ASSERT_EQ(s.hb.size(), 2u);
+  EXPECT_EQ(s.hb[0].stamp.str(), "[0,1,0,0]");
+  EXPECT_EQ(s.hb[1].stamp.str(), "[0,1,1,0,0]");
+  EXPECT_EQ(queue_of(s, joiner), (std::vector<std::pair<OpId, std::uint64_t>>{
+                                     {o2, 2}}));
+  expect_restores(star, cfg, joiner);
+
+  // GC with a partially trimmed log: site 3 has seen the first three
+  // ops, nobody else has spoken since, so only their prefix can go.
+  deliver_all();
+  star.client(3).insert(0, "three ");
+  star.submit(3);
+  for (SiteId i : {1u, 2u, 4u}) {
+    star.client(i).insert(1, "x");
+    star.submit(i);
+  }
+  star.client(1).insert(2, "y");
+  s = star.notifier().state();
+  ASSERT_GT(s.hb_collected, 0u);
+  ASSERT_FALSE(s.hb.empty());
+  for (std::size_t k = 0; k < s.hb.size(); ++k) {
+    EXPECT_EQ(s.hb[k].stamp.sum(), s.hb_collected + k + 1) << "entry " << k;
+  }
+  EXPECT_EQ(s.hb.back().stamp, s.sv0);
+  expect_restores(star, cfg, 1);
+
+  // A departed site's queue freezes: later broadcasts skip it, and GC,
+  // no longer waiting for its acks, trims the log past its entries.
+  const auto frozen = star.notifier().state().outgoing[3];
+  ASSERT_FALSE(frozen.empty());
+  const std::uint64_t collected = star.notifier().hb_collected();
+  star.notifier().remove_site(3);
+  deliver_all();
+  for (SiteId i : {1u, 2u}) {
+    star.client(i).insert(0, "z");
+    star.submit(i);
+  }
+  star.client(4).insert(0, "w");
+  EXPECT_EQ(star.notifier().state().outgoing[3], frozen);
+  expect_restores(star, cfg, 4);
+  EXPECT_EQ(star.notifier().state().outgoing[3], frozen);
+  EXPECT_GT(star.notifier().hb_collected(), collected);
+
+  // Resync: site 2's queue restarts empty at the snapshot, then shares
+  // the next broadcast under the next bridge index.
+  star.restart(2, cfg);
+  s = star.notifier().state();
+  EXPECT_TRUE(s.outgoing[2].empty());
+  const std::uint64_t embodied = s.enqueued[2];
+  const OpId o5 = star.client(1).insert(0, "v");
+  star.submit(1);
+  star.client(2).insert(0, "u");
+  s = star.notifier().state();
+  EXPECT_EQ(queue_of(s, 2), (std::vector<std::pair<OpId, std::uint64_t>>{
+                                {o5, embodied + 1}}));
+  expect_restores(star, cfg, 2);
+}
+
+TEST(Fanout, RestoreRejectsStampsTheCommitOrderDoesNotImply) {
+  const EngineConfig cfg;
+  Star star(3, cfg);
+  for (SiteId i : {1u, 2u, 3u}) {
+    star.client(i).insert(0, "op");
+    star.submit(i);
+  }
+  const NotifierSite::State good = star.notifier().state();
+  ASSERT_EQ(good.hb.size(), 3u);
+  const auto restore = [&](const NotifierSite::State& s) {
+    return NotifierSite(s, cfg, [](SiteId, net::Payload) {}).state();
+  };
+  EXPECT_EQ(restore(good), good);
+
+  // Entry 1 gains an op of site 3 it cannot have seen.
+  NotifierSite::State bad = good;
+  std::vector<std::uint64_t> v{0, 1, 1, 1};
+  bad.hb[1].stamp = clocks::VersionVector(v);
+  EXPECT_THROW(restore(bad), ContractViolation);
+
+  // Entry 1 steps +1 at site 1, not at its origin (site 2).
+  bad = good;
+  v = {0, 2, 0, 0};
+  bad.hb[1].stamp = clocks::VersionVector(v);
+  EXPECT_THROW(restore(bad), ContractViolation);
 }
 
 }  // namespace

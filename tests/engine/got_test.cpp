@@ -125,9 +125,9 @@ ShadowTally run_shadowed(std::uint64_t seed, double insert_prob) {
                 decode_client_msg(bytes, StampMode::kCompressed);
             // Build the GOT view of HB_0 with formula-(7) flags.
             std::vector<GotHbItem> hb;
-            for (const auto& e : session.notifier().history()) {
+            for (const auto& e : session.notifier().state().hb) {
               const bool conc = clocks::concurrent_at_notifier_o1(
-                  msg.stamp.csv, i, e.stamp_sum, e.stamp.at_or_zero(i),
+                  msg.stamp.csv, i, e.stamp.sum(), e.stamp[i],
                   e.origin);
               hb.push_back(GotHbItem{e.executed, conc});
             }

@@ -56,8 +56,10 @@ TEST_F(Fig3Test, FinalStateVectors) {
 
 TEST_F(Fig3Test, NotifierHistoryBufferTimestamps) {
   // §5: HB_0 = [O'2, O'1, O'4, O'3] timestamped [0,1,0], [1,1,0],
-  // [1,1,1], [1,2,1] (site-indexed; our slot 0 is unused).
-  const auto& hb = session->notifier().history();
+  // [1,1,1], [1,2,1] (site-indexed; our slot 0 is unused).  The
+  // notifier derives them from the commit order; state() materializes
+  // them.
+  const auto hb = session->notifier().state().hb;
   ASSERT_EQ(hb.size(), 4u);
   EXPECT_EQ(hb[0].id, ids.o2);
   EXPECT_EQ(hb[0].stamp.str(), "[0,0,1,0]");

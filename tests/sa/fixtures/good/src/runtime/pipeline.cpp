@@ -15,6 +15,11 @@
 //                     free clear() that writes the plain global g_traced:
 //                     a member call never reaches a free function, so
 //                     g_traced stays outside every closure;
+//   * wire::encode    a qualified call on the transform path, next to
+//                     a same-named free text::encode that allocates:
+//                     a qualified call reaches only the function its
+//                     qualifier names, so text::encode's push_back
+//                     stays outside every closure;
 //   * transform_loop's spins consult stop_, which shutdown() writes
 //     from another context (liveness must accept, not flag);
 //   * out_ring_       a capacity wait whose edge transform → egress is
@@ -44,6 +49,18 @@ void set_verbose(int v) { g_verbose = v; }
 int g_traced = 0;
 
 void clear() { g_traced = 0; }
+
+namespace wire {
+int encode(int v) { return v + 1; }
+}  // namespace wire
+
+namespace text {
+std::size_t encode(int v) {
+  std::vector<int> out;
+  out.push_back(v);
+  return out.size();
+}
+}  // namespace text
 
 struct Ring {
   bool try_pop(int& out);
@@ -96,7 +113,7 @@ void NotifierPipeline::transform_loop() {
   }
   // Plain unlocked write — legal because only the transform closure
   // ever writes it.
-  got_state_ += item + g_verbose;
+  got_state_ += wire::encode(item) + g_verbose;
   g_commits.fetch_add(1, std::memory_order_relaxed);
   batch_broadcast(got_state_);
   // Capacity wait that (a) consults stop_, written by shutdown() in

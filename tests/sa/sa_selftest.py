@@ -13,7 +13,9 @@ through `ccvc_sa --check`:
          atomic global written on the hot path, a plain global written
          only outside every closure, a member `.clear()` call on the
          transform path beside a free `clear()` that writes a plain
-         global, an allocation outside the hot-path closure, a live
+         global, a qualified `wire::encode()` call on the transform
+         path beside an allocating free `text::encode()`, an
+         allocation outside the hot-path closure, a live
          allow() pragma on a deliberate budget hit, explicit-order
          atomics, a declaration-style construction whose constructor
          stores a thread-body lambda.  Must run clean (exit 0).

@@ -2,7 +2,9 @@
 // histogram behaviour, the bit_width bucket layout, deterministic
 // snapshots, name validation, and the CCVC_NO_METRICS compile-out
 // (exercised by the sibling TU metrics_nometrics_tu.cpp, which is
-// compiled with the definition while this TU is not).
+// compiled with the definition while this TU is not).  In a whole-tree
+// -DCCVC_NO_METRICS build the macro tests below assert the compiled-out
+// behaviour instead: nothing is registered, nothing is recorded.
 #include "util/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +25,12 @@ namespace ccvc::util {
 void metrics_nometrics_probe();
 
 namespace {
+
+#if defined(CCVC_NO_METRICS)
+constexpr bool kMacrosCompiledIn = false;
+#else
+constexpr bool kMacrosCompiledIn = true;
+#endif
 
 class MetricsTest : public ::testing::Test {
  protected:
@@ -147,6 +155,10 @@ TEST_F(MetricsTest, MacrosResolveOnceAndBump) {
     CCVC_METRIC_GAUGE_SET("test.macro.gauge", i);
     CCVC_METRIC_HIST("test.macro.hist", i);
   }
+  if (!kMacrosCompiledIn) {
+    EXPECT_EQ(metrics::instrument_count(), before);
+    return;
+  }
   EXPECT_EQ(metrics::counter("test.macro.counter").value, 6u);
   EXPECT_EQ(metrics::gauge("test.macro.gauge").value, 2);
   EXPECT_EQ(metrics::histogram("test.macro.hist").count(), 3u);
@@ -210,12 +222,17 @@ TEST_F(MetricsTest, TallyRecordsLikeOneRecordPerValue) {
 }
 
 TEST_F(MetricsTest, TallyMacroResolvesTheNamedHistogram) {
+  const std::size_t before = metrics::instrument_count();
   for (int round = 0; round < 2; ++round) {
     CCVC_METRIC_TALLY(sizes, "test.macro.tally");
     sizes.add(5);
     sizes.add(5);
     sizes.add(300);
     sizes.record();
+  }
+  if (!kMacrosCompiledIn) {
+    EXPECT_EQ(metrics::instrument_count(), before);
+    return;
   }
   const metrics::Histogram& h = metrics::histogram("test.macro.tally");
   EXPECT_EQ(h.count(), 6u);
@@ -241,6 +258,7 @@ void expect_session_stamp_bytes_unchanged(engine::StampMode mode,
   cfg.num_sites = sites;
   cfg.initial_doc = "tally the stamps";
   cfg.engine.stamp_mode = mode;
+  const std::size_t before = metrics::instrument_count();
   StampBytesPerMessage per_message;
   engine::StarSession session(cfg, &per_message);
   sim::WorkloadConfig w;
@@ -250,6 +268,11 @@ void expect_session_stamp_bytes_unchanged(engine::StampMode mode,
   session.run_to_quiescence();
   ASSERT_TRUE(session.converged());
   ASSERT_GT(per_message.hist.count(), 0u);
+  if (!kMacrosCompiledIn) {
+    // The session ran on compiled-out macros: it registered nothing.
+    EXPECT_EQ(metrics::instrument_count(), before);
+    return;
+  }
   expect_same(per_message.hist, metrics::histogram("engine.wire.stamp_bytes"));
 }
 
@@ -260,6 +283,7 @@ TEST_F(MetricsTest, SessionStampBytesMatchPerMessageRecordsCompressed) {
 TEST_F(MetricsTest, SessionStampBytesMatchPerMessageRecordsFullVector) {
   // 40 sites: every full-vector stamp is over Tally::kSlots bytes.
   expect_session_stamp_bytes_unchanged(engine::StampMode::kFullVector, 40);
+  if (!kMacrosCompiledIn) return;
   EXPECT_GT(metrics::histogram("engine.wire.stamp_bytes").min(),
             metrics::Tally::kSlots);
 }

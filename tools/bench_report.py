@@ -23,8 +23,10 @@ Modes of operation:
              --max-regress-pct the comparison becomes a gate.
   --measure-overhead  additionally configure and build a second CMake
              tree with -DCCVC_NO_METRICS=ON, run the e2e_session
-             benchmark in both builds, and report the instrumentation
-             overhead (budget: --overhead-budget-pct, default 2%).
+             benchmark in both builds, alternating the two binaries
+             repeat by repeat, and report the instrumentation overhead
+             (median wall_ms; budget: --overhead-budget-pct, default 2%)
+             with each side's quartiles.
 
 Everything uses the Python standard library only.  Wall-clock numbers
 vary run to run; the simulated values and the scraped metrics registry
@@ -289,31 +291,42 @@ def measure_overhead(args, results) -> None:
         if proc.returncode != 0:
             fail(f"{' '.join(cmd)} failed:\n{proc.stderr[-2000:]}")
 
-    # More repeats than the headline run: this is a wall-clock A/B.
+    # More repeats than the headline run: this is a wall-clock A/B.  The
+    # two binaries alternate repeat by repeat, so a slow spell on a
+    # shared box lands on both sides rather than on one.
     repeats = max(args.repeats, 5)
-    with_doc = run_bench_main(
-        args.build_dir / "bench" / "bench_main",
-        args.mode, repeats, "e2e_session")
-    without_doc = run_bench_main(
-        nm_dir / "bench" / "bench_main", args.mode, repeats, "e2e_session")
-    if not without_doc.get("metrics_compiled_out"):
-        fail("the CCVC_NO_METRICS build still has metrics compiled in")
+    binaries = {
+        "with_metrics": args.build_dir / "bench" / "bench_main",
+        "no_metrics": nm_dir / "bench" / "bench_main",
+    }
+    walls: dict[str, list[float]] = {side: [] for side in binaries}
+    for _ in range(repeats):
+        for side, binary in binaries.items():
+            doc = run_bench_main(binary, args.mode, 1, "e2e_session")
+            if side == "no_metrics" and not doc.get("metrics_compiled_out"):
+                fail("the CCVC_NO_METRICS build still has metrics compiled in")
+            walls[side].extend(
+                r["wall_ms"] for r in doc["benchmarks"][0]["repeats"])
 
-    def median_wall(doc):
-        return statistics.median(
-            [r["wall_ms"] for r in doc["benchmarks"][0]["repeats"]])
-
-    w, wo = median_wall(with_doc), median_wall(without_doc)
+    w = statistics.median(walls["with_metrics"])
+    wo = statistics.median(walls["no_metrics"])
     pct = (w - wo) / wo * 100.0 if wo else 0.0
     results["overhead"] = {
         "benchmark": "e2e_session",
+        "repeats": repeats,
+        "order": "alternating",
         "wall_ms_with_metrics": round(w, 3),
         "wall_ms_no_metrics": round(wo, 3),
         "pct": round(pct, 2),
     }
+    for side, samples in walls.items():
+        results["overhead"][f"wall_ms_quartiles_{side}"] = [
+            round(q, 3) for q in statistics.quantiles(samples, n=4)]
     print(f"bench_report: metrics overhead on e2e_session: "
           f"{w:.3f} ms vs {wo:.3f} ms = {pct:+.2f}% "
-          f"(budget {args.overhead_budget_pct}%)")
+          f"(budget {args.overhead_budget_pct}%; quartiles "
+          f"{results['overhead']['wall_ms_quartiles_with_metrics']} vs "
+          f"{results['overhead']['wall_ms_quartiles_no_metrics']} ms)")
     if pct > args.overhead_budget_pct:
         fail(f"metrics overhead {pct:.2f}% exceeds the "
              f"{args.overhead_budget_pct}% budget")

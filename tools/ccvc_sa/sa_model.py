@@ -68,9 +68,11 @@ class Func:
     line: int
     noreturn: bool = False
     sig: list[str] = field(default_factory=list)  # id texts in param list
-    # Unqualified callee names.  A call written `x.f(...)` or `p->f(...)`
-    # is recorded as ".f": it can only reach a method, never a free
-    # function that happens to share the name.
+    # Callee names.  A call written `x.f(...)` or `p->f(...)` is
+    # recorded as ".f": it can only reach a method, never a free
+    # function that happens to share the name.  A call written
+    # `ns::f(...)` is recorded with its qualifier, "ns::f": it reaches
+    # only the free functions whose qualified name ends with it.
     calls: set[str] = field(default_factory=set)
 
 
@@ -155,13 +157,17 @@ class Model:
                             vis: set[str]):
         """The type-visibility filter behind typed_callees and
         reachable_typed: a free function is admitted only through a
-        non-member call, a method only when its class is visible at the
-        caller."""
+        non-member call (and, for a qualified one, only if its
+        qualified name ends with the call's), a method only when its
+        class is visible at the caller."""
         for callee in calls:
             member = callee.startswith(".")
-            for g in self.by_name.get(callee.lstrip("."), ()):
+            qualified = "::" in callee
+            for g in self.by_name.get(
+                    callee.lstrip(".").rpartition("::")[2], ()):
                 if g.cls is None:
-                    if not member:
+                    if not member and (not qualified or g.qual == callee
+                                       or g.qual.endswith("::" + callee)):
                         yield g
                 elif g.cls == fn.cls or g.cls in vis:
                     yield g
@@ -311,17 +317,24 @@ def _strip_template(head: list[Tok]) -> list[Tok]:
 
 
 def _extract_calls(body: list[Tok], classes: frozenset[str]) -> set[str]:
-    """Callee names in `body`, member calls marked (see Func.calls).  A
-    declaration-style construction `Type name(...)` / `Type name{...}`
-    calls Type's constructor; it is recognized only when Type is in
-    `classes`, the model's class table (Model.calls_in)."""
+    """Callee names in `body`, member calls marked and qualified calls
+    kept qualified (see Func.calls).  A declaration-style construction
+    `Type name(...)` / `Type name{...}` calls Type's constructor; it is
+    recognized only when Type is in `classes`, the model's class table
+    (Model.calls_in)."""
     calls: set[str] = set()
     for i, t in enumerate(body):
         if t.kind != "id" or t.text in NON_CALL:
             continue
         if i + 1 < len(body) and body[i + 1].text == "(":
-            member = i > 0 and body[i - 1].text in (".", "->")
-            calls.add("." + t.text if member else t.text)
+            name = t.text
+            j = i
+            while j >= 2 and body[j - 1].text == "::" \
+                    and body[j - 2].kind == "id":
+                j -= 2
+                name = body[j].text + "::" + name
+            member = j > 0 and body[j - 1].text in (".", "->")
+            calls.add("." + name if member else name)
         if t.text in MACRO_CALLS:
             calls.update(MACRO_CALLS[t.text])
         if t.text in classes and i + 2 < len(body) \
